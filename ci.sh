@@ -149,7 +149,7 @@ done
   --crash-every 11 --log "$srv/log-pass1.txt" > "$srv/pass1.out"
 "$BS" loadgen --socket "$sock" --seed 7 --requests 120 --clients 4 \
   --crash-every 11 --log "$srv/log-pass2.txt" \
-  --out BENCH_pr8.json > "$srv/pass2.out"
+  --out "$srv/summary.json" > "$srv/pass2.out"
 # the canonical log is independent of scheduling: same seed, same log
 if ! cmp -s "$srv/log-pass1.txt" "$srv/log-pass2.txt"; then
   echo "serve smoke: canonical logs of identical passes differ" >&2
@@ -194,12 +194,12 @@ grep -q '"cache_quarantined":0' "$srv/stats.json" || {
 wait "$serve_pid" 2>/dev/null || true
 serve_pid=
 # the loadgen summary must carry the latency/hit-rate guards
-grep -q '"p99_ms"' BENCH_pr8.json || {
-  echo "serve smoke: BENCH_pr8.json is missing p99_ms" >&2
+grep -q '"p99_ms"' "$srv/summary.json" || {
+  echo "serve smoke: loadgen summary is missing p99_ms" >&2
   exit 1
 }
-grep -q '"cache_hit_rate"' BENCH_pr8.json || {
-  echo "serve smoke: BENCH_pr8.json is missing cache_hit_rate" >&2
+grep -q '"cache_hit_rate"' "$srv/summary.json" || {
+  echo "serve smoke: loadgen summary is missing cache_hit_rate" >&2
   exit 1
 }
 echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery clean)"
@@ -207,7 +207,7 @@ echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery clean)"
 # Telemetry smoke: a fresh server must agree with the load generator
 # about every latency it reports — loadgen --check-server compares the
 # request count exactly and p50/p99 to within one histogram bucket,
-# recording both views in BENCH_pr10.json — answer health ok, dump a
+# recording both views in the loadgen summary — answer health ok, dump a
 # Prometheus exposition on SIGUSR1 and again on graceful shutdown, and
 # produce byte-identical deterministic counter/gauge snapshot sections
 # for the same seeded mix at --jobs 1 and --jobs 4.
@@ -224,7 +224,7 @@ while [ ! -S "$tsock" ]; do
   sleep 0.1
 done
 "$BS" loadgen --socket "$tsock" --seed 9 --requests 80 --clients 4 \
-  --crash-every 13 --check-server --out BENCH_pr10.json > "$tel/load.out"
+  --crash-every 13 --check-server --out "$tel/summary.json" > "$tel/load.out"
 grep -q 'server count   = .* \[exact\]' "$tel/load.out" || {
   echo "telemetry smoke: server/client request counts disagree" >&2
   cat "$tel/load.out" >&2
@@ -258,10 +258,10 @@ grep -q '^serve_requests_total{outcome="ok"} [1-9]' "$tel/metrics.prom" || {
   echo "telemetry smoke: shutdown exposition missing request counters" >&2
   exit 1
 }
-# BENCH_pr10.json carries both latency views and the passed cross-check
+# the loadgen summary carries both latency views and the passed cross-check
 for key in '"client_p99_ms"' '"server_p99_ms"' '"count_ok":true' '"ok":true'; do
-  grep -q "$key" BENCH_pr10.json || {
-    echo "telemetry smoke: BENCH_pr10.json is missing $key" >&2
+  grep -q "$key" "$tel/summary.json" || {
+    echo "telemetry smoke: loadgen summary is missing $key" >&2
     exit 1
   }
 done

@@ -231,44 +231,62 @@ let lower_to_machine ?(orig_first = false) (m : Ir.modul) ~arch : Asm.program =
   assemble_funcs m ~arch
     (List.map (lower_one_func ~arch ~orig_first) m.Ir.funcs)
 
-(** [compile ~config ~source ~train] runs the full pipeline on MiniC
-    source.  [train] supplies the profiling runs (ignored by the baseline
-    pipeline).  In [Degrade] mode pass failures are isolated per function
-    (falling back to the baseline compilation of that function) and
-    reported in [diagnostics]; [Strict] (the default) fails fast. *)
-let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
-    ~config ~source ?setup ~train () : compiled =
+(* The front half of the pipeline (front end → expander → CFG
+   preparation) depends only on the source and the expander budgets, and
+   the training profile only on that module and the training input.  So
+   every build of one source with one expander configuration — BASELINE,
+   BITSPEC MAX/AVG/MIN, Thumb — can finish from one [front]. *)
+type front = {
+  fr_mode : mode;
+  fr_expander : Expander.config;
+  fr_ir : Ir.modul;
+      (* the pre-squeeze module.  Never mutated after [prepare]: each
+         [finish] works on its own copy, and degrade mode restores a
+         failed function from it *)
+  fr_cfg_ok : bool;
+  fr_diags : Diag.t list;  (* newest first *)
+  fr_profile : Profile.t Lazy.t;
+}
+
+let front_ir fr = fr.fr_ir
+
+(* Module-level pass with snapshot/rollback: on failure in degrade mode
+   the module is restored and the pass skipped. *)
+let guarded ~degrade ~add m ~phase ~code name f =
+  Bs_obs.Trace.with_span name @@ fun () ->
+  if degrade then begin
+    let snap = Ir.copy_module !m in
+    match f () with
+    | () -> true
+    | exception e ->
+        m := snap;
+        add
+          (Diag.error ~code ~phase
+             (Printf.sprintf "%s failed (%s); pass skipped" name
+                (describe_exn e)));
+        false
+  end
+  else begin f (); true end
+
+(** [prepare ~expander ~source ~train] runs the front half of the
+    pipeline once.  [lowered], when given, is [Lower.compile source]
+    already made by the caller; [prepare] takes it over. *)
+let prepare ?(mode = Strict) ?interp_engine ?profile_key ?lowered ~expander
+    ~source ?setup ~train () : front =
   let degrade = mode = Degrade in
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  (* Per-compile remark sink: passes append here; the result carries the
-     canonically-sorted list, so printing is identical at any --jobs. *)
-  let remarks_acc = ref [] in
-  let remark r = remarks_acc := r :: !remarks_acc in
   let m =
-    ref (Bs_obs.Trace.with_span "frontend" (fun () -> Lower.compile source))
+    ref
+      (match lowered with
+      | Some m -> m
+      | None ->
+          Bs_obs.Trace.with_span "frontend" (fun () -> Lower.compile source))
   in
-  (* Module-level pass with snapshot/rollback: on failure in degrade mode
-     the module is restored and the pass skipped. *)
-  let guarded ~phase ~code name f =
-    Bs_obs.Trace.with_span name @@ fun () ->
-    if degrade then begin
-      let snap = Ir.copy_module !m in
-      match f () with
-      | () -> true
-      | exception e ->
-          m := snap;
-          add
-            (Diag.error ~code ~phase
-               (Printf.sprintf "%s failed (%s); pass skipped" name
-                  (describe_exn e)));
-          false
-    end
-    else begin f (); true end
-  in
+  let guarded = guarded ~degrade ~add m in
   ignore
     (guarded ~phase:Diag.Expand ~code:"BS-EXP-01" "expander" (fun () ->
-         ignore (Expander.run !m config.expander);
+         ignore (Expander.run !m expander);
          Verifier.verify_exn !m));
   let cfg_ok =
     guarded ~phase:Diag.Cfg_prep ~code:"BS-CFG-01" "CFG preparation"
@@ -276,11 +294,42 @@ let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
         ignore (Cfg_prep.run !m);
         Verifier.verify_exn !m)
   in
-  (* The pre-squeeze snapshot: the baseline (non-speculative) form every
-     degraded function falls back to. *)
-  let baseline = lazy (Ir.copy_module !m) in
+  let ir = !m in
+  let run_profile () =
+    Bs_obs.Trace.with_span "profile" (fun () ->
+        profile_module ir ?setup ?interp_engine ~train ())
+  in
+  let profile =
+    lazy
+      ((* The memo is only sound when the pre-squeeze module is the pure
+          function of (source, expander) the key encodes; degrade-mode
+          rollbacks break that, so they bypass it. *)
+       match profile_key with
+       | Some k when not degrade ->
+           Bs_exec.Memo.find_or_add profile_tbl k run_profile
+       | _ -> run_profile ())
+  in
+  { fr_mode = mode; fr_expander = expander; fr_ir = ir; fr_cfg_ok = cfg_ok;
+    fr_diags = !diags; fr_profile = profile }
+
+(** [finish ~config front] runs the back half of the pipeline on a copy
+    of [front]'s module: profile → squeeze → BITSPEC optimisations →
+    back-end.  [front] is left as it was. *)
+let finish ?pass_fault ~config (fr : front) : compiled =
+  if config.expander <> fr.fr_expander then
+    invalid_arg "Driver.finish: the front was prepared with another expander";
+  let degrade = fr.fr_mode = Degrade in
+  let diags = ref fr.fr_diags in
+  let add d = diags := d :: !diags in
+  (* Per-compile remark sink: passes append here; the result carries the
+     canonically-sorted list, so printing is identical at any --jobs. *)
+  let remarks_acc = ref [] in
+  let remark r = remarks_acc := r :: !remarks_acc in
+  let m = ref (Ir.copy_module fr.fr_ir) in
+  let guarded = guarded ~degrade ~add m in
+  (* the pre-squeeze form every degraded function falls back to *)
   let baseline_func fname =
-    match Ir.find_func (Lazy.force baseline) fname with
+    match Ir.find_func fr.fr_ir fname with
     | Some f -> Ir.copy_func f
     | None -> invalid_arg ("no baseline form for " ^ fname)
   in
@@ -291,23 +340,9 @@ let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
         (fun (g : Ir.func) -> if g.Ir.fname = fname then bf else g)
         (!m).Ir.funcs
   in
-  if degrade then ignore (Lazy.force baseline);
   let profile, squeeze_stats =
-    if config.arch = Bitspec_arch && config.speculate && cfg_ok then begin
-      let run_profile () =
-        Bs_obs.Trace.with_span "profile" (fun () ->
-            profile_module !m ?setup ?interp_engine ~train ())
-      in
-      match
-        (* Sharing is only sound when the pre-squeeze module is the pure
-           function of (source, expander) the key encodes — injected pass
-           faults and degrade-mode rollbacks both break that, so they
-           bypass the memo. *)
-        match profile_key with
-        | Some k when (not degrade) && pass_fault = None ->
-            Bs_exec.Memo.find_or_add profile_tbl k run_profile
-        | _ -> run_profile ()
-      with
+    if config.arch = Bitspec_arch && config.speculate && fr.fr_cfg_ok then begin
+      match Lazy.force fr.fr_profile with
       | exception e when degrade ->
           add
             (Diag.error ~code:"BS-PRO-01" ~phase:Diag.Profile
@@ -434,15 +469,21 @@ let compile ?(mode = Strict) ?pass_fault ?interp_engine ?profile_key
     diagnostics = List.rev !diags;
     remarks = List.sort Bs_obs.Remark.compare !remarks_acc }
 
-(** Total compilation: never raises.  Degrade-mode [compile], with any
-    escaping exception (front-end errors included) converted into
-    diagnostics. *)
-let try_compile ?pass_fault ?interp_engine ~config ~source ?setup ~train () :
-    (compiled, Diag.t list) result =
-  match
-    compile ~mode:Degrade ?pass_fault ?interp_engine ~config ~source ?setup
-      ~train ()
-  with
+(** [compile ~config ~source ~train] runs the full pipeline on MiniC
+    source.  [train] supplies the profiling runs (ignored by the baseline
+    pipeline).  In [Degrade] mode pass failures are isolated per function
+    (falling back to the baseline compilation of that function) and
+    reported in [diagnostics]; [Strict] (the default) fails fast. *)
+let compile ?mode ?pass_fault ?interp_engine ?profile_key ~config ~source
+    ?setup ~train () : compiled =
+  finish ?pass_fault ~config
+    (prepare ?mode ?interp_engine ?profile_key ~expander:config.expander
+       ~source ?setup ~train ())
+
+(** [total f] runs a degrade-mode compile, converting any escaping
+    exception (front-end errors included) into a diagnostic. *)
+let total f : (compiled, Diag.t list) result =
+  match f () with
   | c -> Ok c
   | exception e ->
       let phase, line =
@@ -454,6 +495,14 @@ let try_compile ?pass_fault ?interp_engine ~config ~source ?setup ~train () :
       in
       Error
         [ Diag.error ?line ~code:"BS-FE-01" ~phase (describe_exn e) ]
+
+(** Total compilation: never raises.  Degrade-mode [compile] under
+    [total]. *)
+let try_compile ?pass_fault ?interp_engine ~config ~source ?setup ~train () :
+    (compiled, Diag.t list) result =
+  total (fun () ->
+      compile ~mode:Degrade ?pass_fault ?interp_engine ~config ~source ?setup
+        ~train ())
 
 (** Run the compiled binary on the machine model.  [fault] injects a
     single bit flip (see {!Bs_sim.Machine.fault}); [power] runs under

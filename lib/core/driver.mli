@@ -100,6 +100,50 @@ val lower_to_machine :
 (** Back-end only: instruction selection, register allocation, layout and
     linking of an already-prepared module. *)
 
+(** {1 Two-stage compilation}
+
+    The pipeline's front half — front end, expander, CFG preparation —
+    depends only on the source and the expander budgets, and the training
+    profile only on that module and the training input.  Every
+    configuration with the same {!Expander.config} (all of
+    {!bitspec_config}, {!baseline_config}, {!thumb_config} and their
+    heuristic variants) can therefore finish from one {!front}.
+    {!compile} is exactly [finish (prepare ...)]. *)
+
+type front
+(** A prepared pre-squeeze module, with the diagnostics of the front
+    half and a lazily run training profile.  A front is never mutated by
+    {!finish}; it is not safe to finish one front from two domains at
+    once (its profile is forced on first use). *)
+
+val prepare :
+  ?mode:mode ->
+  ?interp_engine:Bs_interp.Interp.engine ->
+  ?profile_key:string ->
+  ?lowered:Bs_ir.Ir.modul ->
+  expander:Expander.config ->
+  source:string ->
+  ?setup:(Bs_ir.Ir.modul -> Bs_interp.Memimage.t -> unit) ->
+  train:(string * int64 list) list ->
+  unit ->
+  front
+(** Front end → expander → CFG preparation, with the verifier after
+    each pass and, in {!Degrade} mode, per-pass rollback and
+    diagnostics.  [lowered] is [Lower.compile source] when the caller
+    already has it; [prepare] takes it over instead of lowering again.
+    [interp_engine], [profile_key], [setup] and [train] describe the
+    training run, which runs only when a speculative {!finish} first
+    needs it.  Front-end errors raise, as for {!compile}. *)
+
+val finish : ?pass_fault:pass_fault -> config:config -> front -> compiled
+(** Profile → squeeze → BITSPEC optimisations → back-end, on a copy of
+    the front's module, under the front's {!mode}.  [config.expander]
+    must be the one the front was prepared with ([Invalid_argument]
+    otherwise). *)
+
+val front_ir : front -> Bs_ir.Ir.modul
+(** The front's pre-squeeze module.  Read-only. *)
+
 val compile :
   ?mode:mode ->
   ?pass_fault:pass_fault ->
@@ -126,8 +170,14 @@ val compile :
     must content-address everything the profile depends on — source,
     {!expander_tag}, training entries/args, the profile input's
     identity — and the resulting {!Profile.t} is shared, read-only.
-    Ignored in degrade mode or under [pass_fault], where the
-    pre-squeeze module is no longer the pure function the key names. *)
+    Ignored in degrade mode, where a rolled-back pass can leave a
+    pre-squeeze module that is no longer the pure function the key
+    names.  ([pass_fault] acts only after profiling.) *)
+
+val total :
+  (unit -> compiled) -> (compiled, Bs_support.Diag.t list) result
+(** [total f] runs a compile, converting any exception it raises
+    (front-end errors included) into one [BS-FE-01] diagnostic. *)
 
 val try_compile :
   ?pass_fault:pass_fault ->
@@ -139,7 +189,8 @@ val try_compile :
   unit ->
   (compiled, Bs_support.Diag.t list) result
 (** Total degrade-mode compilation: never raises.  [Error] carries at
-    least one diagnostic (front-end failures included). *)
+    least one diagnostic (front-end failures included).  The same as
+    [total (fun () -> compile ~mode:Degrade ...)]. *)
 
 val run_machine :
   ?setup:(Bs_interp.Memimage.t -> unit) ->

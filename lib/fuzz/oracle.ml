@@ -8,8 +8,9 @@ open Bitspec
    the IR interpreter.  Each engine below compiles the same source through
    the full pipeline (degrade mode, so pass failures surface as
    diagnostics rather than exceptions) and simulates it on the machine
-   model.  The first engine that disagrees with the reference determines
-   the verdict's bucket; engine order is fixed so identical inputs yield
+   model; the engines share one run of the pipeline's front half.  The
+   first engine that disagrees with the reference determines the
+   verdict's bucket; engine order is fixed so identical inputs yield
    identical buckets. *)
 
 type engine = { ename : string; config : Driver.config }
@@ -108,7 +109,18 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
              everything the compile depends on (source, configuration,
              training runs, planted fault), so the reducer's repeated
              oracle calls and the final reproducer replay each compile a
-             given candidate once per engine. *)
+             given candidate once per engine.  On a miss the engine
+             finishes from one front shared by all five (they share an
+             expander configuration), seeded with a copy of the pristine
+             lowering above; it is built on the first miss only.  The
+             front lives for this call alone: a process-wide table of
+             fronts would grow with every program a daemon sees. *)
+          let front =
+            lazy
+              (Driver.prepare ~mode:Driver.Degrade
+                 ~lowered:(Bs_ir.Ir.copy_module m)
+                 ~expander:Expander.default ~source ~train ())
+          in
           let src_key = Compile_cache.source_key source in
           let train_key =
             String.concat ";"
@@ -129,8 +141,9 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
                       (Printf.sprintf "fuzz|%s|%s|%s|%s" src_key
                          (Driver.config_tag config) train_key plant_key)
                     (fun () ->
-                      Driver.try_compile ?pass_fault:plant ~config ~source
-                        ~train ())
+                      Driver.total (fun () ->
+                          Driver.finish ?pass_fault:plant ~config
+                            (Lazy.force front)))
                 with
                 | Error diags ->
                     let d =

@@ -14,7 +14,9 @@ type engine = { ename : string; config : Driver.config }
 val engines : engine list
 (** The configurations compared against the reference interpreter, in
     fixed order: baseline, bitspec-max, bitspec-avg, bitspec-min, thumb.
-    The order makes the first-divergence bucket deterministic. *)
+    The order makes the first-divergence bucket deterministic.  All
+    share {!Bitspec.Expander.default}: {!run} finishes them from one
+    {!Driver.front}. *)
 
 (** How one execution ended, coarsened for comparison. *)
 type exec_obs =
@@ -42,7 +44,10 @@ val run :
   args:int64 list ->
   unit ->
   verdict
-(** Run the full differential comparison.  [plant] injects a compiler
+(** Run the full differential comparison.  The pristine lowering the
+    reference runs on also seeds one {!Driver.front}, built on the first
+    compile-cache miss and dropped when the call returns; each
+    configuration that misses finishes from it.  [plant] injects a compiler
     fault into every configuration's compile (the planted-bug self-test);
     [fuel] bounds both the reference interpreter and each machine run
     (default 2,000,000); [train] is the profiling input (default: [entry]

@@ -106,13 +106,13 @@ let check_ssa (f : Ir.func) =
           end)
         b.instrs)
     f.blocks;
-  let dom = Dom.compute f in
   let preds = Ir.preds_sir f in
+  let dom = Dom.compute ~preds f in
   (* Unreachable blocks are exempt from dominance checks, as in LLVM:
      passes may leave dead code behind and clean it up later. *)
   let reachable = Hashtbl.create 16 in
-  List.iter (fun bid -> Hashtbl.replace reachable bid ()) (Ir.reverse_postorder f);
-  let check_use (b : Ir.block) pos_before (o : Ir.operand) user =
+  Array.iter (fun bid -> Hashtbl.replace reachable bid ()) dom.Dom.order;
+  let check_use (b : Ir.block) before (o : Ir.operand) user =
     match o with
     | Const _ -> ()
     | Var v -> (
@@ -122,10 +122,7 @@ let check_ssa (f : Ir.func) =
         | Some db ->
             if db = b.bid then begin
               (* must appear earlier in the block *)
-              let ok =
-                List.exists (fun (j : Ir.instr) -> j.iid = v) pos_before
-              in
-              if not ok then
+              if not (Hashtbl.mem before v) then
                 fail "%%%d used before definition in block %s" v b.bname
             end
             else if not (Dom.dominates dom db b.bid) then
@@ -136,7 +133,8 @@ let check_ssa (f : Ir.func) =
     (fun (b : Ir.block) ->
       if not (Hashtbl.mem reachable b.bid) then ()
       else
-      let before = ref [] in
+      (* ids of the instructions seen so far in this block *)
+      let before = Hashtbl.create 16 in
       List.iter
         (fun (i : Ir.instr) ->
           (match i.op with
@@ -174,8 +172,8 @@ let check_ssa (f : Ir.func) =
                   (Printer.instr_str f i)
                   (String.concat "," (List.map string_of_int missing))
           | _ ->
-              List.iter (fun o -> check_use b !before o i) (Ir.operands i));
-          before := !before @ [ i ])
+              List.iter (fun o -> check_use b before o i) (Ir.operands i));
+          Hashtbl.replace before i.iid ())
         b.instrs)
     f.blocks
 
@@ -249,7 +247,9 @@ let check_func (f : Ir.func) =
     (fun (b : Ir.block) -> List.iter (check_widths f) b.instrs)
     f.blocks;
   check_ssa f;
-  check_regions f
+  (* without regions there are no handlers and every region rule holds
+     trivially — skip the liveness analysis of Theorem 3.1 *)
+  if f.regions <> [] then check_regions f
 
 let check_module (m : Ir.modul) =
   (* Call targets and globals must resolve. *)

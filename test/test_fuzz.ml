@@ -15,6 +15,8 @@ open Bitspec
      bounded campaign detects it and the reducer shrinks the crasher to a
      handful of lines that still reproduce the same bucket;
    - equal seeds give bit-identical campaigns;
+   - every engine finished from one shared front equals its standalone
+     compile, and leaves the front untouched;
    - every reproducer in test/corpus/ replays into its recorded bucket. *)
 
 let check_seed seed =
@@ -167,6 +169,90 @@ let test_campaign_deterministic () =
     (List.map (fun c -> c.Bs_fuzz.Fuzz.tseed) a.Bs_fuzz.Fuzz.crashes)
     (List.map (fun c -> c.Bs_fuzz.Fuzz.tseed) b.Bs_fuzz.Fuzz.crashes)
 
+(* --- shared front ------------------------------------------------------ *)
+
+(* The oracle prepares a program's front half once and finishes all five
+   engines from it.  Each finished build must equal a standalone
+   [Driver.try_compile] of the same configuration, and finishing must
+   leave the front's module untouched. *)
+
+let sorted_bindings h =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [])
+
+let check_same_build name (a : Driver.compiled) (b : Driver.compiled) =
+  let pa = a.Driver.program and pb = b.Driver.program in
+  let open Bs_backend.Asm in
+  let same what ok = Alcotest.(check bool) (name ^ ": " ^ what) true ok in
+  same "code" (pa.code = pb.code);
+  same "prov" (pa.prov = pb.prov);
+  same "srcmap" (pa.srcmap = pb.srcmap);
+  same "delta" (pa.delta = pb.delta);
+  same "halt_pc" (pa.halt_pc = pb.halt_pc);
+  same "entries" (sorted_bindings pa.entries = sorted_bindings pb.entries);
+  same "handler_pcs"
+    (sorted_bindings pa.handler_pcs = sorted_bindings pb.handler_pcs);
+  same "diagnostics" (a.Driver.diagnostics = b.Driver.diagnostics);
+  same "remarks" (a.Driver.remarks = b.Driver.remarks);
+  same "squeeze stats" (a.Driver.squeeze_stats = b.Driver.squeeze_stats)
+
+let check_shared_front ?plant ?lowered ~name ~source ?setup ~train () =
+  let front =
+    Driver.prepare ~mode:Driver.Degrade ?lowered
+      ~expander:Expander.default ~source ?setup ~train ()
+  in
+  let printed () = Bs_ir.Printer.module_str (Driver.front_ir front) in
+  let before = printed () in
+  let shared_diags =
+    List.concat_map
+      (fun (e : Bs_fuzz.Oracle.engine) ->
+        let cell = name ^ "/" ^ e.Bs_fuzz.Oracle.ename in
+        let config = e.Bs_fuzz.Oracle.config in
+        let shared =
+          Driver.total (fun () -> Driver.finish ?pass_fault:plant ~config front)
+        in
+        match
+          ( shared,
+            Driver.try_compile ?pass_fault:plant ~config ~source ?setup ~train
+              () )
+        with
+        | Ok shared, Ok alone ->
+            check_same_build cell shared alone;
+            shared.Driver.diagnostics
+        | Error a, Error b ->
+            Alcotest.(check bool) (cell ^ ": same errors") true (a = b);
+            a
+        | _ -> Alcotest.failf "%s: one build failed, the other did not" cell)
+      Bs_fuzz.Oracle.engines
+  in
+  Alcotest.(check string) (name ^ ": front unchanged") before (printed ());
+  List.map (fun (d : Diag.t) -> d.Diag.code) shared_diags
+
+let test_shared_front () =
+  let open Bs_workloads in
+  List.iter
+    (fun (w : Workload.t) ->
+      let train = w.Workload.train in
+      ignore
+        (check_shared_front ~name:w.Workload.name ~source:w.Workload.source
+           ~setup:train.Workload.setup
+           ~train:[ (w.Workload.entry, train.Workload.args) ]
+           ()))
+    Registry.all;
+  let gen ?plant seed =
+    let source = Bs_fuzz.Gen.program seed in
+    (* seeded the way the oracle seeds it: with a lowering of its own *)
+    check_shared_front ?plant ~name:(Printf.sprintf "seed %d" seed)
+      ~lowered:(Bs_frontend.Lower.compile source) ~source
+      ~train:[ (Bs_fuzz.Gen.entry, Bs_fuzz.Gen.train_args) ] ()
+  in
+  List.iter (fun i -> ignore (gen ((i * 7919) + 1))) (List.init 30 Fun.id);
+  let squeeze_f =
+    { Driver.fault_pass = Driver.Fault_squeeze; fault_func = "f" }
+  in
+  Alcotest.(check bool) "squeeze plant degraded the bitspec builds" true
+    (List.mem "BS-SQZ-01" (gen ~plant:squeeze_f 3));
+  ignore (gen ~plant:miscompile_f 4)
+
 (* --- corpus replay ----------------------------------------------------- *)
 
 (* Every reproducer under test/corpus/ must land in its recorded bucket.
@@ -222,4 +308,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_reduce_preserves_bucket;
     Alcotest.test_case "campaigns are seed-deterministic" `Quick
       test_campaign_deterministic;
+    Alcotest.test_case "shared front equals standalone builds" `Quick
+      test_shared_front;
     Alcotest.test_case "corpus reproducers replay" `Quick test_corpus_replay ]

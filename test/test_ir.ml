@@ -181,6 +181,76 @@ let test_verifier_rejects () =
   Ir.append_instr e4 (Ir.mk_instr f4 ~width:32 (Ir.Bin (Ir.Add, Ir.const ~width:32 1L, Ir.const ~width:32 2L)));
   expect_invalid "no terminator" f4
 
+(* Rejections that pin the verifier's fast paths: the region rules still
+   run whenever a function has regions, and the per-block seen-set still
+   catches a use before its definition deep into a long block. *)
+let invalid_message f =
+  match Verifier.verify { Ir.funcs = [ f ]; globals = [] } with
+  | Error msg -> msg
+  | Ok () -> Alcotest.fail ("verifier accepted " ^ f.Ir.fname)
+
+(* entry (the region, so the handler's SIR predecessor is the entry
+   itself): y = p + 1; ret; handler: ret [handler_ret y] *)
+let region_func ~name ~handler_ret =
+  let f = Ir.create_func ~name ~params:[ ("p", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let entry = Ir.add_block f "entry" in
+  let h = Ir.add_block f "handler" in
+  Builder.position_at_end b entry;
+  let p = Builder.param b 0 in
+  let y =
+    Builder.bin b Ir.Add ~width:32 (Builder.value p) (Ir.const ~width:32 1L)
+  in
+  ignore (Builder.ret b (Some (Builder.value y)));
+  Builder.position_at_end b h;
+  ignore (Builder.ret b (Some (handler_ret (Builder.value y))));
+  ignore (Ir.add_region f ~blocks:[ entry.Ir.bid ] ~handler:h.Ir.bid);
+  (f, entry, h)
+
+let test_verifier_fast_path_rejects () =
+  let contains msg sub =
+    Alcotest.(check bool) (Printf.sprintf "%S mentions %S" msg sub) true
+      (Str_exists.contains msg sub)
+  in
+  (* the well-formed variant passes, so each rejection below is the rule *)
+  let zero _ = Ir.const ~width:32 0L in
+  let ok, _, _ = region_func ~name:"ok" ~handler_ret:zero in
+  Verifier.check_func ok;
+  let live, _, _ = region_func ~name:"live" ~handler_ret:Fun.id in
+  contains (invalid_message live) "live at handler entry (Thm 3.1)";
+  let target, entry, h = region_func ~name:"target" ~handler_ret:zero in
+  (Ir.terminator entry).Ir.op <- Ir.Br h.Ir.bid;
+  contains (invalid_message target) "branch target";
+  (* a 200-instruction chain, then a use of a value defined after it *)
+  let f = Ir.create_func ~name:"long" ~params:[ ("p", 32) ] ~ret_width:32 in
+  let b = Builder.create f in
+  let e = Ir.add_block f "entry" in
+  Builder.position_at_end b e;
+  let one = Ir.const ~width:32 1L in
+  let x = ref (Builder.param b 0) in
+  for _ = 1 to 200 do
+    x := Builder.bin b Ir.Add ~width:32 (Builder.value !x) one
+  done;
+  let late =
+    Ir.mk_instr f ~width:32 (Ir.Bin (Ir.Add, Builder.value !x, one))
+  in
+  let use =
+    Builder.bin b Ir.Add ~width:32 (Ir.Var late.Ir.iid) (Builder.value !x)
+  in
+  ignore (Builder.ret b (Some (Builder.value use)));
+  let body, term =
+    match List.rev e.Ir.instrs with
+    | t :: rest -> (List.rev rest, t)
+    | [] -> assert false
+  in
+  e.Ir.instrs <- body @ [ late; term ];
+  contains (invalid_message f) "used before definition";
+  (* with the definition moved ahead of its use the block verifies *)
+  e.Ir.instrs <-
+    List.filter (fun (i : Ir.instr) -> i.Ir.iid <> use.Ir.iid) body
+    @ [ late; use; term ];
+  Verifier.check_func f
+
 let test_rpo () =
   let f, entry, _, _, _ = build_loop_func () in
   let order = Ir.reverse_postorder f in
@@ -206,5 +276,7 @@ let suite =
     Alcotest.test_case "clone_blocks" `Quick test_clone_blocks;
     Alcotest.test_case "regions + SIR/SMIR preds" `Quick test_regions_and_preds_sir;
     Alcotest.test_case "verifier rejects malformed IR" `Quick test_verifier_rejects;
+    Alcotest.test_case "verifier fast paths keep every rejection" `Quick
+      test_verifier_fast_path_rejects;
     Alcotest.test_case "reverse postorder" `Quick test_rpo;
     Alcotest.test_case "printer output" `Quick test_printer_roundtrip_shape ]
