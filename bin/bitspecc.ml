@@ -203,21 +203,6 @@ let dist_arg ~default =
                  exponential gaps) or $(b,hotpc:N) (recharge N \
                  instructions, strike at the next speculative site).")
 
-let engine_conv =
-  Arg.enum
-    [ ("classic", Bs_sim.Machine.Classic);
-      ("threaded", Bs_sim.Machine.Threaded);
-      ("jit", Bs_sim.Machine.Jit) ]
-
-let engine_arg =
-  Arg.(value & opt engine_conv Bs_sim.Machine.Jit
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Machine dispatch engine: $(b,classic) (the reference \
-                 fetch-decode-execute loop), $(b,threaded) \
-                 (direct-threaded per-PC closures) or $(b,jit) (threaded \
-                 plus superblock trace fusion; the default).  All three \
-                 produce identical results — only host speed differs.")
-
 let interp_engine_conv =
   Arg.enum [ ("tree", Interp.Tree); ("compiled", Interp.Compiled) ]
 
@@ -330,7 +315,7 @@ let run_cmd =
                    instructions per host microsecond).")
   in
   let action file arch heuristic entry args train no_expander strict trace
-      why power power_seed policy retries engine interp_engine stats =
+      why power power_seed policy retries interp_engine stats =
     with_reporting ~file (fun () ->
         let source = read_file file in
         let config = config_of ~arch ~heuristic ~no_expander in
@@ -358,8 +343,7 @@ let run_cmd =
             power
         in
         let r =
-          Driver.run_machine ?power:pw ~engine c ~entry
-            ~args:(parse_args args)
+          Driver.run_machine ?power:pw c ~entry ~args:(parse_args args)
         in
         print_metrics (Experiment.metrics_of_run r);
         if stats then begin
@@ -396,8 +380,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"compile and simulate a MiniC file")
     Term.(const action $ file $ arch_arg $ heuristic_arg $ entry $ args
           $ train $ no_expander_arg $ strict_arg $ trace_arg $ why_misspec
-          $ power $ power_seed $ policy_arg $ retries_arg $ engine_arg
-          $ interp_engine_arg $ stats)
+          $ power $ power_seed $ policy_arg $ retries_arg $ interp_engine_arg
+          $ stats)
 
 (* --- bench ------------------------------------------------------------- *)
 
@@ -643,11 +627,11 @@ let fuzz_cmd =
                    (planted-fault self-tests).")
   in
   let action seed trials budget corpus size no_reduce fault expect_crash jobs
-      engine interp_engine =
+      interp_engine =
     with_reporting (fun () ->
         let t =
           Bs_fuzz.Fuzz.run ?plant:fault ?budget ~reduce:(not no_reduce)
-            ~size ~jobs ~engine ~interp_engine ~seed ~trials ()
+            ~size ~jobs ~interp_engine ~seed ~trials ()
         in
         print_string (Bs_fuzz.Fuzz.report t);
         if t.Bs_fuzz.Fuzz.crashes <> [] then begin
@@ -662,8 +646,7 @@ let fuzz_cmd =
        ~doc:"differential fuzzing campaign: random programs, every build \
              configuration against the reference interpreter")
     Term.(const action $ seed $ trials $ budget $ corpus $ size $ no_reduce
-          $ fault_arg $ expect_crash $ jobs_arg $ engine_arg
-          $ interp_engine_arg)
+          $ fault_arg $ expect_crash $ jobs_arg $ interp_engine_arg)
 
 (* --- reduce ------------------------------------------------------------ *)
 
@@ -694,8 +677,7 @@ let reduce_cmd =
              ~doc:"Where to write the minimized reproducer (default: \
                    FILE with a .min.mc suffix).")
   in
-  let action file check entry args_opt train_opt fault out engine
-      interp_engine =
+  let action file check entry args_opt train_opt fault out interp_engine =
     with_reporting ~file (fun () ->
         let meta, source = Bs_fuzz.Corpus.load file in
         let dfl f d = match meta with Some m -> f m | None -> d in
@@ -725,8 +707,8 @@ let reduce_cmd =
             (* intermittent-power reproducer: replay under the recorded
                outage trace and check the bucket; reduction preserves it *)
             let replay s =
-              Bs_fuzz.Oracle.run_power ~train:[ (entry, train_args) ] ~engine
-                ~source:s ~entry ~args ~power:p ()
+              Bs_fuzz.Oracle.run_power ~train:[ (entry, train_args) ] ~source:s
+                ~entry ~args ~power:p ()
             in
             let v = replay source in
             print_endline (Bs_fuzz.Oracle.describe_power v);
@@ -769,7 +751,7 @@ let reduce_cmd =
         | None ->
         let oracle s =
           Bs_fuzz.Oracle.run ?plant:fault ~train:[ (entry, train_args) ]
-            ~engine ~interp_engine ~source:s ~entry ~args ()
+            ~interp_engine ~source:s ~entry ~args ()
         in
         let verdict = oracle source in
         print_endline (Bs_fuzz.Oracle.describe verdict);
@@ -818,7 +800,7 @@ let reduce_cmd =
        ~doc:"replay the differential oracle on a MiniC file and \
              delta-debug it to a minimal reproducer")
     Term.(const action $ file $ check $ entry $ args_opt $ train_opt
-          $ fault_arg $ out $ engine_arg $ interp_engine_arg)
+          $ fault_arg $ out $ interp_engine_arg)
 
 (* --- serve / client / loadgen ------------------------------------------ *)
 

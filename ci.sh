@@ -10,8 +10,13 @@ set -eu
 cd "$(dirname "$0")"
 dune build @all
 dune runtest
-corpus="$(mktemp -d)"
-trap 'rm -rf "$corpus"' EXIT
+# every smoke below works in its own subdirectory of one scratch dir,
+# removed (and any daemon still running killed) on every exit path
+tmp="$(mktemp -d)"
+serve_pid=
+trap 'rm -rf "$tmp"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+corpus="$tmp/corpus"
+mkdir "$corpus"
 dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
   --jobs 4
 dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
@@ -22,8 +27,8 @@ dune exec bin/bitspecc.exe -- fuzz --seed 1 --trials 25 --corpus "$corpus" \
 # contain the known CRC32 squeeze decisions and be byte-identical at
 # --jobs 1 and --jobs 4, and the misspec histogram total must match the
 # simulator's counter.
-obs="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs"' EXIT
+obs="$tmp/obs"
+mkdir "$obs"
 dune exec bin/bitspecc.exe -- bench CRC32 --trace "$obs/trace.json" \
   > /dev/null
 dune exec bin/bitspecc.exe -- bench CRC32 --remarks --jobs 1 > "$obs/j1.out"
@@ -50,8 +55,8 @@ echo "observability smoke: OK (trace $b/$e events, remarks jobs-invariant)"
 # (pinned mean restore count) and byte-identical at --jobs 1 vs --jobs 4;
 # a power-model injection campaign replays identically run to run; and
 # --strict on a clean campaign exits 0.
-pw="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw"' EXIT
+pw="$tmp/pw"
+mkdir "$pw"
 dune exec bin/bitspecc.exe -- harvest bitcount --trials 10 --dist exp:2000 \
   --seed 3 --jobs 1 > "$pw/h1.out"
 dune exec bin/bitspecc.exe -- harvest bitcount --trials 10 --dist exp:2000 \
@@ -79,26 +84,25 @@ dune exec bin/bitspecc.exe -- reduce --check \
   test/corpus/power-reexec-livelock-hotpc40-seed7.mc > /dev/null
 echo "intermittent-power smoke: OK (harvest jobs-invariant, inject deterministic)"
 
-# Engine-differencing smoke: the three dispatch engines (classic /
-# threaded / jit) must be observably identical, so a fixed-seed fuzz
-# campaign run under classic at --jobs 1 and under jit at --jobs 4 must
-# produce byte-identical reports, and every corpus reproducer must
-# replay into its recorded bucket under the trace-JIT.
-eng="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng"' EXIT
+# Jobs-invariance smoke: a fixed-seed fuzz campaign at --jobs 1 and at
+# --jobs 4 must produce byte-identical reports, and every corpus
+# reproducer must replay into its recorded bucket.  (Fused and unfused
+# machine runs are differenced by the test suite.)
+eng="$tmp/eng"
+mkdir "$eng"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
-  --jobs 1 --engine classic > "$eng/classic.out"
+  --jobs 1 > "$eng/j1.out"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$eng" \
-  --jobs 4 --engine jit > "$eng/jit.out"
-if ! cmp -s "$eng/classic.out" "$eng/jit.out"; then
-  echo "engine smoke: classic/jobs-1 and jit/jobs-4 reports differ" >&2
-  diff "$eng/classic.out" "$eng/jit.out" >&2 || true
+  --jobs 4 > "$eng/j4.out"
+if ! cmp -s "$eng/j1.out" "$eng/j4.out"; then
+  echo "jobs smoke: --jobs 1 and --jobs 4 fuzz reports differ" >&2
+  diff "$eng/j1.out" "$eng/j4.out" >&2 || true
   exit 1
 fi
 for f in test/corpus/*.mc; do
-  dune exec bin/bitspecc.exe -- reduce --check --engine jit "$f" > /dev/null
+  dune exec bin/bitspecc.exe -- reduce --check "$f" > /dev/null
 done
-echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays under jit)"
+echo "jobs smoke: OK (fuzz report jobs-invariant, corpus replays)"
 
 # Interpreter-engine smoke: the closure-compiled interpreter must be
 # observably identical to the tree-walker through the whole fuzz
@@ -106,8 +110,8 @@ echo "engine smoke: OK (fuzz report engine- and jobs-invariant, corpus replays u
 # byte-identical reports (at different job counts, for good measure) —
 # and every corpus reproducer must replay into its recorded bucket with
 # the compiled engine serving as the differential reference.
-ieng="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$ieng"' EXIT
+ieng="$tmp/ieng"
+mkdir "$ieng"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
   --jobs 1 --interp-engine tree > "$ieng/tree.out"
 dune exec bin/bitspecc.exe -- fuzz --seed 2 --trials 15 --corpus "$ieng" \
@@ -130,9 +134,8 @@ echo "interp-engine smoke: OK (fuzz report interp-engine-invariant, corpus repla
 # store reopened clean (no quarantined entries), then shut down
 # gracefully.  Uses the built binary directly: the daemon must not
 # hold the dune lock while the client invocations run.
-srv="$(mktemp -d)"
-serve_pid=
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$srv"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+srv="$tmp/srv"
+mkdir "$srv"
 BS=./_build/default/bin/bitspecc.exe
 sock="$srv/bs.sock"
 "$BS" serve --socket "$sock" --cache-dir "$srv/cache" --jobs 4 \
@@ -211,8 +214,8 @@ echo "serve smoke: OK (warm hit rate $hit, kill -9 recovery clean)"
 # Prometheus exposition on SIGUSR1 and again on graceful shutdown, and
 # produce byte-identical deterministic counter/gauge snapshot sections
 # for the same seeded mix at --jobs 1 and --jobs 4.
-tel="$(mktemp -d)"
-trap 'rm -rf "$corpus" "$obs" "$pw" "$eng" "$ieng" "$srv" "$tel"; [ -n "$serve_pid" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+tel="$tmp/tel"
+mkdir "$tel"
 tsock="$tel/bs.sock"
 "$BS" serve --socket "$tsock" --cache-dir "$tel/cache" --jobs 4 \
   --metrics-out "$tel/metrics.prom" > "$tel/serve.log" 2>&1 &
@@ -295,8 +298,7 @@ echo "telemetry smoke: OK (cross-check exact, health ok, counters jobs-invariant
 
 # Timed bench subset: fig8 + table2 (the regression-anchored sections).
 # Recorded single-job baseline on the reference container: ~3400 ms
-# with the trace-JIT machine engine and the closure-compiled
-# interpreter.  Fail if the subset takes more than twice that — a
+# with the trace-JIT machine and the closure-compiled interpreter.  Fail if the subset takes more than twice that — a
 # slowdown of that size means a fast path, the compile cache, the JIT
 # or the compiled interpreter broke.
 bench_baseline_ms=3400

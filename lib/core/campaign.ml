@@ -63,12 +63,8 @@ let run ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     else Bs_isa.Isa.Classic
   in
   let golden =
-    Machine.run
-      ~config:
-        { Machine.mode; fuel = 1_000_000_000; fault = None; power = None;
-          engine = Machine.Jit }
-      c.Driver.program (mem ()) ~entry:w.Workload.entry
-      ~args:input.Workload.args
+    Machine.run ~config:{ Machine.default_config with mode } c.Driver.program
+      (mem ()) ~entry:w.Workload.entry ~args:input.Workload.args
   in
   (* injected-fault oracles stay on the tree engine: no compilation
      layer of their own between the IR and the reference checksum *)
@@ -220,12 +216,8 @@ let run_power ?(config = Driver.bitspec_config) ?(jobs = 1)
     else Bs_isa.Isa.Classic
   in
   let golden =
-    Machine.run
-      ~config:
-        { Machine.mode; fuel = 1_000_000_000; fault = None; power = None;
-          engine = Machine.Jit }
-      c.Driver.program (mem ()) ~entry:w.Workload.entry
-      ~args:input.Workload.args
+    Machine.run ~config:{ Machine.default_config with mode } c.Driver.program
+      (mem ()) ~entry:w.Workload.entry ~args:input.Workload.args
   in
   (* injected-fault oracles stay on the tree engine: no compilation
      layer of their own between the IR and the reference checksum *)
@@ -245,7 +237,7 @@ let run_power ?(config = Driver.bitspec_config) ?(jobs = 1)
     let trace = Powertrace.create ~seed:pseed ~hot_pcs dist in
     let power = Some { Machine.trace; policy; max_retries = retries } in
     let config =
-      { Machine.mode; fuel; fault = None; power; engine = Machine.Jit }
+      { Machine.default_config with mode; fuel; power }
     in
     match
       Machine.run ~config c.Driver.program (mem ()) ~entry:w.Workload.entry
@@ -389,12 +381,8 @@ let validate ?(config = Driver.bitspec_config) ?(jobs = 1) ~trials ~seed
     else Bs_isa.Isa.Classic
   in
   let golden =
-    Machine.run
-      ~config:
-        { Machine.mode; fuel = 1_000_000_000; fault = None; power = None;
-          engine = Machine.Jit }
-      c.Driver.program (mem ()) ~entry:w.Workload.entry
-      ~args:input.Workload.args
+    Machine.run ~config:{ Machine.default_config with mode } c.Driver.program
+      (mem ()) ~entry:w.Workload.entry ~args:input.Workload.args
   in
   (* injected-fault oracles stay on the tree engine: no compilation
      layer of their own between the IR and the reference checksum *)

@@ -507,10 +507,9 @@ let try_compile ?pass_fault ?interp_engine ~config ~source ?setup ~train () :
 (** Run the compiled binary on the machine model.  [fault] injects a
     single bit flip (see {!Bs_sim.Machine.fault}); [power] runs under
     injected power failures with checkpoint/restore
-    (see {!Bs_sim.Machine.power}); [engine] picks the dispatch engine
-    (results are identical across engines; [Jit] is the default). *)
-let run_machine ?setup ?(fuel = 1_000_000_000) ?fault ?power
-    ?(engine = Machine.Jit) (c : compiled) ~entry ~args =
+    (see {!Bs_sim.Machine.power}). *)
+let run_machine ?setup ?(fuel = 1_000_000_000) ?fault ?power (c : compiled)
+    ~entry ~args =
   let mem = Memimage.create c.ir in
   (match setup with Some f -> f mem | None -> ());
   let mode =
@@ -518,7 +517,7 @@ let run_machine ?setup ?(fuel = 1_000_000_000) ?fault ?power
     else Bs_isa.Isa.Classic
   in
   let r =
-    Machine.run ~config:{ Machine.mode; fuel; fault; power; engine }
+    Machine.run ~config:{ Machine.default_config with mode; fuel; fault; power }
       c.program mem ~entry ~args
   in
   (* the result captures everything observable; the image is dead, so its

@@ -197,7 +197,6 @@ val run_machine :
   ?fuel:int ->
   ?fault:Bs_sim.Machine.fault ->
   ?power:Bs_sim.Machine.power ->
-  ?engine:Bs_sim.Machine.engine ->
   compiled ->
   entry:string ->
   args:int64 list ->
@@ -205,8 +204,7 @@ val run_machine :
 (** Simulate the compiled binary on a fresh memory image.  [setup] fills
     workload inputs; [fuel] bounds dynamic instructions; [fault] injects a
     single bit flip mid-run; [power] runs under injected power failures
-    with checkpoint/restore; [engine] picks the dispatch engine (default
-    [Jit]; results are identical across engines). *)
+    with checkpoint/restore. *)
 
 val run_reference :
   ?setup:(Bs_interp.Memimage.t -> unit) ->

@@ -30,7 +30,6 @@ type t = {
 }
 
 let run ?plant ?budget ?(reduce = true) ?size ?fuel ?(jobs = 1)
-    ?(engine = Bs_sim.Machine.Jit)
     ?(interp_engine = Bs_interp.Interp.Compiled) ~seed ~trials () =
   let rng = Rng.create (Int64.of_int seed) in
   let started = Sys.time () in
@@ -64,7 +63,7 @@ let run ?plant ?budget ?(reduce = true) ?size ?fuel ?(jobs = 1)
           let source = Gen.program ?size tseed in
           let args = [ Gen.entry_arg tseed ] in
           ( source, args,
-            Oracle.run ?plant ?fuel ~engine ~interp_engine ~source
+            Oracle.run ?plant ?fuel ~interp_engine ~source
               ~entry:Gen.entry ~args () ))
         tseeds
     in
@@ -80,7 +79,7 @@ let run ?plant ?budget ?(reduce = true) ?size ?fuel ?(jobs = 1)
             if not (seen key) then begin
               let reproduces s =
                 match
-                  Oracle.run ?plant ?fuel ~engine ~interp_engine ~source:s
+                  Oracle.run ?plant ?fuel ~interp_engine ~source:s
                     ~entry:Gen.entry ~args ()
                 with
                 | Oracle.Crash { bucket = b; _ } -> Bucket.key b = key

@@ -69,8 +69,8 @@ let frontend_bucket e =
   in
   Bucket.make ~code:"BS-FE-01" ~detail Bucket.Frontend_reject
 
-let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
-    ?(interp_engine = Interp.Compiled) ~source ~entry ~args () =
+let run ?plant ?(fuel = 2_000_000) ?train ?(interp_engine = Interp.Compiled)
+    ~source ~entry ~args () =
   let train =
     match train with Some t -> t | None -> [ (entry, Gen.train_args) ]
   in
@@ -168,7 +168,7 @@ let run ?plant ?(fuel = 2_000_000) ?train ?(engine = Bs_sim.Machine.Jit)
                     | [] -> (
                         let eng_obs =
                           match
-                            Driver.run_machine ~fuel:machine_fuel ~engine c
+                            Driver.run_machine ~fuel:machine_fuel c
                               ~entry ~args
                           with
                           | r -> (
@@ -239,7 +239,7 @@ let describe_power v =
   | Some b -> Printf.sprintf "POWER [%s] %s" (Bucket.key b) v.p_details
   | None -> "power: " ^ v.p_details
 
-let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
+let run_power ?train ~source ~entry ~args
     ~(power : Corpus.power_meta) () : power_verdict =
   let train =
     match train with Some t -> t | None -> [ (entry, Gen.train_args) ]
@@ -256,7 +256,7 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
       { p_bucket = Some (Bucket.of_diag ~detail:"power" d);
         p_details = "failed to compile: " ^ Diag.to_string d }
   | Ok c -> (
-      match Driver.run_machine ~engine c ~entry ~args with
+      match Driver.run_machine c ~entry ~args with
       | exception e ->
           { p_bucket = Some (Bucket.hang ());
             p_details = "fault-free run raised: " ^ Printexc.to_string e }
@@ -285,7 +285,7 @@ let run_power ?train ?(engine = Bs_sim.Machine.Jit) ~source ~entry ~args
             { Machine.trace; policy = power.Corpus.pw_policy;
               max_retries = power.Corpus.pw_retries }
           in
-          match Driver.run_machine ~fuel ~power:pw ~engine c ~entry ~args with
+          match Driver.run_machine ~fuel ~power:pw c ~entry ~args with
           | exception Machine.Sim_trap t ->
               { p_bucket =
                   Some

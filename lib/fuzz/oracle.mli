@@ -37,7 +37,6 @@ val run :
   ?plant:Driver.pass_fault ->
   ?fuel:int ->
   ?train:(string * int64 list) list ->
-  ?engine:Bs_sim.Machine.engine ->
   ?interp_engine:Bs_interp.Interp.engine ->
   source:string ->
   entry:string ->
@@ -51,10 +50,10 @@ val run :
     fault into every configuration's compile (the planted-bug self-test);
     [fuel] bounds both the reference interpreter and each machine run
     (default 2,000,000); [train] is the profiling input (default: [entry]
-    on {!Gen.train_args}); [engine] picks the machine dispatch engine
-    (default [Jit]) and [interp_engine] the reference interpreter's
-    engine (default [Compiled]) — the verdict is invariant under both,
-    so differencing verdicts across engines is itself an engine test. *)
+    on {!Gen.train_args}); [interp_engine] picks the reference
+    interpreter's engine (default [Compiled]) — the verdict is invariant
+    under it, so differencing verdicts across engines is itself an engine
+    test. *)
 
 val describe : verdict -> string
 
@@ -68,7 +67,6 @@ type power_verdict = {
 
 val run_power :
   ?train:(string * int64 list) list ->
-  ?engine:Bs_sim.Machine.engine ->
   source:string ->
   entry:string ->
   args:int64 list ->

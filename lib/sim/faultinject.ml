@@ -92,8 +92,7 @@ let run_trial ~mode ~fuel ~(program : Bs_backend.Asm.program)
     ~(mem : unit -> Bs_interp.Memimage.t) ~entry ~args ~expected
     ~golden_misspecs (fault : Machine.fault) : trial =
   let config =
-    { Machine.mode; fuel; fault = Some fault; power = None;
-      engine = Machine.Jit }
+    { Machine.default_config with mode; fuel; fault = Some fault }
   in
   let verdict =
     match Machine.run ~config program (mem ()) ~entry ~args with

@@ -18,21 +18,11 @@ open Superblock
    memory hierarchy (L1 hit 0, L2 8, DRAM 60 extra cycles).  Misspeculation
    costs the redirect plus the skeleton branch.
 
-   Three dispatch engines execute the same model (see [Superblock]):
-
-   - [Classic]: the reference fetch-decode-execute loop, one big match
-     per step.  The baseline the other engines are differenced against.
-   - [Threaded]: direct-threaded dispatch — per-PC pre-compiled closures,
-     one indirect call per step.
-   - [Jit]: threaded dispatch plus the superblock trace-JIT fusing hot
-     straight-line runs into single closures with guard exits.  Under
-     power traces or fault injection every instruction is a potential
-     checkpoint/outage/fault boundary, so the JIT degenerates to
-     threaded dispatch.
-
-   All three must produce byte-identical results — counters, outcome,
-   memory image, cache state.  CI and the engine-equivalence property
-   tests difference them across the fuzz corpus. *)
+   Each instruction's semantics and costs are described once, in
+   [Superblock]; this module owns the dispatch loops, fault injection
+   and intermittent-power execution.  By default hot paths run as fused
+   traces; power and fault runs, and runs with [fuse] cleared, dispatch
+   the unfused per-PC bodies one instruction at a time. *)
 
 exception Sim_trap = Superblock.Sim_trap
 
@@ -61,19 +51,18 @@ type power = {
   max_retries : int;
 }
 
-type engine = Classic | Threaded | Jit
-
 type config = {
   mode : Isa.mode;
   fuel : int;                 (* max dynamic instructions *)
   fault : fault option;       (* inject one bit flip during the run *)
   power : power option;       (* run under injected power failures *)
-  engine : engine;            (* dispatch engine; identical results *)
+  fuse : bool;                (* fuse hot paths into traces; identical
+                                 results either way *)
 }
 
 let default_config =
   { mode = Isa.Bitspec; fuel = 1_000_000_000; fault = None; power = None;
-    engine = Jit }
+    fuse = true }
 
 type result = {
   r0 : int64;
@@ -89,55 +78,18 @@ type result = {
          through [Asm.program.srcmap]. *)
 }
 
-(* Misspeculation: redirect the in-flight PC ([st.next]) by Δ.
-   [pc_counts] charges the event to the faulting pc for attribution.
-   (Classic loop only — the threaded bodies use [Superblock.misspec],
-   which returns the displaced successor instead.) *)
-let misspeculate ctr pc_counts (st : state) =
-  ctr.Counters.misspecs <- ctr.Counters.misspecs + 1;
-  (match Hashtbl.find_opt pc_counts st.pc with
-  | Some n -> Hashtbl.replace pc_counts st.pc (n + 1)
-  | None -> Hashtbl.add pc_counts st.pc 1);
-  st.next <- st.pc + st.delta;
-  ctr.Counters.cycles <- ctr.Counters.cycles + branch_penalty;
-  ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + branch_penalty;
-  ctr.Counters.branch_stalls <- ctr.Counters.branch_stalls + branch_penalty
-
-(* Pre-decoded per-PC metadata, computed once per run (O(static code),
-   amortised over millions of dynamic steps): the provenance counter tag
-   and the slice-extension flag, packed in one int so the fetch-execute
-   loop reads a single flat array instead of re-inspecting the encoded
-   stream every step. *)
-let meta_none = 0
-let meta_spill_load = 1
-let meta_spill_store = 2
-let meta_copy = 3
-let meta_prov_mask = 3
-let meta_slice = 4
-let meta_store = 8
+(* Pre-decoded per-PC flags for the power hooks, computed once per run:
+   the slice-extension flag (CLASSIC-mode trap, pre-speculation
+   checkpoints) and the store flag (pre-store checkpoints). *)
+let meta_slice = 1
+let meta_store = 2
 
 let predecode (p : Bs_backend.Asm.program) : int array =
-  let n = Array.length p.Bs_backend.Asm.code in
-  let meta = Array.make n 0 in
-  for pc = 0 to n - 1 do
-    let prov_tag =
-      match p.Bs_backend.Asm.prov.(pc) with
-      | PSpillLoad -> meta_spill_load
-      | PSpillStore -> meta_spill_store
-      | PCopy -> meta_copy
-      | _ -> meta_none
-    in
-    let slice =
-      if is_slice_insn p.Bs_backend.Asm.code.(pc) then meta_slice else 0
-    in
-    let store =
-      match p.Bs_backend.Asm.code.(pc) with
-      | STR _ | BSTRB _ -> meta_store
-      | _ -> 0
-    in
-    meta.(pc) <- prov_tag lor slice lor store
-  done;
-  meta
+  Array.map
+    (fun insn ->
+      (if is_slice_insn insn then meta_slice else 0)
+      lor match insn with STR _ | BSTRB _ -> meta_store | _ -> 0)
+    p.Bs_backend.Asm.code
 
 let run ?(config = default_config) (p : Bs_backend.Asm.program)
     (mem : Memimage.t) ~entry ~(args : int64 list) : result =
@@ -146,13 +98,11 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
   let misspec_pc_counts : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let icache = Cache.l1i () and dcache = Cache.l1d () and l2 = Cache.l2 () in
   let st =
-    { Superblock.regs = Array.make num_regs 0; pc = 0; next = 0;
+    { Superblock.regs = Array.make num_regs 0; pc = 0;
       delta = p.Bs_backend.Asm.delta;
       mode = config.mode; halted = false; cmp_a = 0; cmp_b = 0;
-      cmp_width8 = false; last_load_dest = -1; loaded = -1 }
+      cmp_width8 = false; last_load_dest = -1 }
   in
-  let code = p.Bs_backend.Asm.code in
-  let meta = predecode p in
   let entry_pc =
     match Hashtbl.find_opt p.Bs_backend.Asm.entries entry with
     | Some e -> e
@@ -168,35 +118,6 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
   st.regs.(sp) <- sp0;
   st.regs.(lr) <- p.Bs_backend.Asm.halt_pc;
   st.pc <- entry_pc;
-  let stall n kind =
-    ctr.Counters.cycles <- ctr.Counters.cycles + n;
-    ctr.Counters.stall_cycles <- ctr.Counters.stall_cycles + n;
-    match kind with
-    | `Branch -> ctr.Counters.branch_stalls <- ctr.Counters.branch_stalls + n
-    | `LoadUse -> ctr.Counters.load_use_stalls <- ctr.Counters.load_use_stalls + n
-    | `Other -> ()
-  in
-  let mem_access addr =
-    (* D$ -> L2 -> DRAM *)
-    ctr.Counters.cycles <- ctr.Counters.cycles + 0;
-    if not (Cache.access dcache addr) then
-      if Cache.access l2 addr then stall l2_latency `Other
-      else stall (l2_latency + dram_latency) `Other
-  in
-  let fetch pcv =
-    if not (Cache.access icache (pcv * 4)) then
-      if Cache.access l2 (0x40_0000 + (pcv * 4)) then stall l2_latency `Other
-      else stall (l2_latency + dram_latency) `Other
-  in
-  let alu32_count () = ctr.Counters.alu32 <- ctr.Counters.alu32 + 1 in
-  let alu8_count () = ctr.Counters.alu8 <- ctr.Counters.alu8 + 1 in
-  (* load-use hazard checks, register operands passed directly (the hot
-     loop allocates no per-step lists; [last_load_dest] is -1 when the
-     previous instruction was not a load, and registers are >= 0) *)
-  let check1 a = if st.last_load_dest = a then stall 1 `LoadUse in
-  let check2 a b =
-    if st.last_load_dest = a || st.last_load_dest = b then stall 1 `LoadUse
-  in
   let outcome = ref Bs_support.Outcome.Finished in
   let fault_applied = ref false in
   let apply_fault () =
@@ -250,7 +171,7 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
        restores_since_ckpt := 0
      end);
     ctr.Counters.checkpoints <- ctr.Counters.checkpoints + 1;
-    stall Checkpoint.checkpoint_cycles `Other
+    stall_other ctr Checkpoint.checkpoint_cycles
   in
   let restore_checkpoint max_retries =
     ctr.Counters.restores <- ctr.Counters.restores + 1;
@@ -266,8 +187,7 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
     st.cmp_b <- saved.Checkpoint.s_cmp_b;
     st.cmp_width8 <- saved.Checkpoint.s_cmp_width8;
     st.last_load_dest <- saved.Checkpoint.s_last_load_dest;
-    st.loaded <- -1;
-    stall Checkpoint.restore_cycles `Other;
+    stall_other ctr Checkpoint.restore_cycles;
     incr restores_since_ckpt;
     (* Livelock detection: repeated restores with no forward-progress
        checkpoint in between mean every outage precedes the next commit
@@ -291,9 +211,8 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
       Memimage.journal_start mem;
       take_checkpoint ()
   | None -> ());
-  (* decide once per step-kind, not once per step: checkpoint/outage
-     policy evaluation is shared verbatim between the classic and hooked
-     threaded loops *)
+  (* checkpoint/outage policy, evaluated before each instruction of a
+     power run; true when an outage rolled the machine back *)
   let power_step m =
     match config.power with
     | None -> false
@@ -314,285 +233,62 @@ let run ?(config = default_config) (p : Bs_backend.Asm.program)
         end
         else false
   in
-  (match config.engine with
-  | Threaded | Jit ->
-      (* --- closure-compiled engines (see [Superblock]) ----------------- *)
-      let cx =
-        { Superblock.st; ctr; mem; icache; dcache; l2;
-          pc_counts = misspec_pc_counts; prog = p; fuel = config.fuel }
-      in
-      let bodies = compile_bodies cx in
-      let dispatch =
-        (* traces fuse multiple instructions into one closure, so they are
-           only sound when nothing can strike between two instructions *)
-        if config.engine = Jit && config.power = None && config.fault = None
-        then install_jit cx bodies
-        else bodies
-      in
-      let ncode = Array.length code in
-      let fuel = config.fuel in
-      if config.power = None && config.fault = None then
-        (* fast loop: bounds, fetch, charge, fuel, one indirect call *)
-        while not st.halted do
-          let pc = st.pc in
-          if pc < 0 || pc >= ncode then
-            raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
-          Superblock.fetch cx pc;
-          ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-          ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-          if ctr.Counters.instrs > fuel then begin
-            outcome := Bs_support.Outcome.Out_of_fuel;
-            st.halted <- true
-          end
-          else st.pc <- (Array.unsafe_get dispatch pc) ()
-        done
-      else
-        (* hooked loop: the classic step order with checkpoint/outage and
-           fault hooks between the slice-mode check and the body *)
-        while not st.halted do
-          let pc = st.pc in
-          if pc < 0 || pc >= ncode then
-            raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
-          let m = Array.unsafe_get meta pc in
-          if m land meta_slice <> 0 && st.mode = Isa.Classic then
-            raise (Sim_trap Bs_support.Outcome.Classic_mode_slice);
-          if not (power_step m) then begin
-            Superblock.fetch cx pc;
-            ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-            ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-            if ctr.Counters.instrs > fuel then begin
-              outcome := Bs_support.Outcome.Out_of_fuel;
-              st.halted <- true
-            end
-            else begin
-              apply_fault ();
-              let nx = (Array.unsafe_get dispatch pc) () in
-              if not st.halted then st.pc <- nx
-            end
-          end
-        done
-  | Classic ->
-  while not st.halted do
-    if st.pc < 0 || st.pc >= Array.length code then
-      raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range st.pc));
-    let insn = Array.unsafe_get code st.pc in
-    let m = Array.unsafe_get meta st.pc in
-    if m land meta_slice <> 0 && st.mode = Isa.Classic then
-      raise (Sim_trap Bs_support.Outcome.Classic_mode_slice);
-    let outage = power_step m in
-    if not outage then begin
-    fetch st.pc;
-    ctr.Counters.instrs <- ctr.Counters.instrs + 1;
-    ctr.Counters.cycles <- ctr.Counters.cycles + 1;
-    if ctr.Counters.instrs > config.fuel then begin
-      outcome := Bs_support.Outcome.Out_of_fuel;
-      st.halted <- true
-    end
-    else begin
-    apply_fault ();
-    (match m land meta_prov_mask with
-    | 1 -> ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1
-    | 2 -> ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1
-    | 3 -> ctr.Counters.copies <- ctr.Counters.copies + 1
-    | _ -> ());
-    st.next <- st.pc + 1;
-    st.loaded <- -1;
-    (match insn with
-    | MOV (d, s) ->
-        check1 s;
-        write_reg st ctr d (read_reg st ctr s)
-    | MOVW (d, v) -> write_reg st ctr d v
-    | MOVT (d, v) ->
-        check1 d;
-        write_reg st ctr d ((st.regs.(d) land 0xFFFF) lor (v lsl 16))
-    | ALU (op, d, n, o) ->
-        (match o with Reg m -> check2 n m | Imm _ -> check1 n);
-        alu32_count ();
-        let a = read_reg st ctr n in
-        let b = match o with Reg m -> read_reg st ctr m | Imm v -> v in
-        let r =
-          match op with
-          | OpAdd -> a + b
-          | OpSub -> a - b
-          | OpAnd -> a land b
-          | OpOrr -> a lor b
-          | OpEor -> a lxor b
-          | OpLsl -> a lsl (b land 31)
-          | OpLsr -> (a land 0xFFFFFFFF) lsr (b land 31)
-          | OpAsr ->
-              let sa = if a land 0x80000000 <> 0 then a - 0x100000000 else a in
-              sa asr (b land 31)
-        in
-        write_reg st ctr d r
-    | MUL (d, n, m) ->
-        check2 n m;
-        ctr.Counters.mul_ops <- ctr.Counters.mul_ops + 1;
-        stall mul_penalty `Other;
-        write_reg st ctr d (read_reg st ctr n * read_reg st ctr m)
-    | DIV (sg, d, n, m) ->
-        check2 n m;
-        ctr.Counters.div_ops <- ctr.Counters.div_ops + 1;
-        stall div_penalty `Other;
-        let a = read_reg st ctr n and b = read_reg st ctr m in
-        if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
-        let r =
-          match sg with
-          | Unsigned -> a / b
-          | Signed ->
-              let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v in
-              s a / s b
-        in
-        write_reg st ctr d r
-    | CMP (n, o) ->
-        (match o with Reg m -> check2 n m | Imm _ -> check1 n);
-        alu32_count ();
-        st.cmp_a <- read_reg st ctr n;
-        st.cmp_b <- (match o with Reg m -> read_reg st ctr m | Imm v -> v);
-        st.cmp_width8 <- false
-    | CSET (c, d) ->
-        alu32_count ();
-        write_reg st ctr d (if eval_cond st c then 1 else 0)
-    | B t ->
-        st.next <- t;
-        stall branch_penalty `Branch
-    | BC (c, t) ->
-        alu32_count ();
-        if eval_cond st c then begin
-          st.next <- t;
-          stall branch_penalty `Branch
+  let cx =
+    { Superblock.st; ctr; mem; icache; dcache; l2;
+      pc_counts = misspec_pc_counts; prog = p; fuel = config.fuel }
+  in
+  let bodies, settle = compile_bodies cx in
+  let unhooked = config.power = None && config.fault = None in
+  let dispatch =
+    (* traces fuse multiple instructions into one closure, so they are
+       only sound when nothing can strike between two instructions *)
+    if config.fuse && unhooked then install_jit cx bodies else bodies
+  in
+  let ncode = Array.length p.Bs_backend.Asm.code in
+  let fuel = config.fuel in
+  if unhooked then
+    (* fast loop: bounds, fetch, charge, fuel, one indirect call *)
+    while not st.halted do
+      let pc = st.pc in
+      if pc < 0 || pc >= ncode then
+        raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+      fetch cx pc;
+      ctr.Counters.instrs <- ctr.Counters.instrs + 1;
+      ctr.Counters.cycles <- ctr.Counters.cycles + 1;
+      if ctr.Counters.instrs > fuel then begin
+        outcome := Bs_support.Outcome.Out_of_fuel;
+        st.halted <- true
+      end
+      else st.pc <- (Array.unsafe_get dispatch pc) ()
+    done
+  else begin
+    (* hooked loop: checkpoint/outage and fault hooks between the
+       slice-mode check and the body *)
+    let meta = predecode p in
+    while not st.halted do
+      let pc = st.pc in
+      if pc < 0 || pc >= ncode then
+        raise (Sim_trap (Bs_support.Outcome.Pc_out_of_range pc));
+      let m = Array.unsafe_get meta pc in
+      if m land meta_slice <> 0 && st.mode = Isa.Classic then
+        raise (Sim_trap Bs_support.Outcome.Classic_mode_slice);
+      if not (power_step m) then begin
+        fetch cx pc;
+        ctr.Counters.instrs <- ctr.Counters.instrs + 1;
+        ctr.Counters.cycles <- ctr.Counters.cycles + 1;
+        if ctr.Counters.instrs > fuel then begin
+          outcome := Bs_support.Outcome.Out_of_fuel;
+          st.halted <- true
         end
-    | BL t ->
-        write_reg st ctr lr (st.pc + 1);
-        st.next <- t;
-        stall branch_penalty `Branch
-    | BX_LR ->
-        st.next <- read_reg st ctr lr;
-        stall branch_penalty `Branch
-    | LDR (w, sg, d, n, off) ->
-        check1 n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access addr;
-        let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-        let v = Memimage.read_int mem ~width addr in
-        let v =
-          match (sg, w) with
-          | Signed, W8 -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v
-          | Signed, W16 -> if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v
-          | _ -> v
-        in
-        write_reg st ctr d v;
-        st.loaded <- d
-    | STR (w, s, n, off) ->
-        check2 s n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access addr;
-        let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-        Memimage.write_int mem ~width addr (read_reg st ctr s)
-    | SXT (w, d, s) ->
-        check1 s;
-        alu32_count ();
-        let v = read_reg st ctr s in
-        let r =
-          match w with
-          | W8 -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v land 0xFF
-          | W16 -> if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v land 0xFFFF
-          | W32 -> v
-        in
-        write_reg st ctr d r
-    | UXT (w, d, s) ->
-        check1 s;
-        alu32_count ();
-        let v = read_reg st ctr s in
-        let r = match w with W8 -> v land 0xFF | W16 -> v land 0xFFFF | W32 -> v in
-        write_reg st ctr d r
-    | BALU (op, d, n, o) -> (
-        check1 n.sl_reg;
-        alu8_count ();
-        let a = read_slice st ctr n in
-        let b =
-          match o with Sl s -> read_slice st ctr s | BImm v -> v land 0xFF
-        in
-        match op with
-        | BAdd ->
-            let r = a + b in
-            if r > 0xFF then misspeculate ctr misspec_pc_counts st
-            else write_slice st ctr d r
-        | BSub ->
-            let r = a - b in
-            if r < 0 then misspeculate ctr misspec_pc_counts st
-            else write_slice st ctr d r
-        | BAnd -> write_slice st ctr d (a land b)
-        | BOrr -> write_slice st ctr d (a lor b)
-        | BEor -> write_slice st ctr d (a lxor b))
-    | BCMPS (n, o) ->
-        alu8_count ();
-        st.cmp_a <- read_slice st ctr n;
-        st.cmp_b <- (match o with Sl s -> read_slice st ctr s | BImm v -> v land 0xFF);
-        st.cmp_width8 <- true
-    | BLDRS (d, n, x) ->
-        check1 n;
-        let off =
-          match x with BOff o -> o | BIdx i -> read_slice st ctr i
-        in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access addr;
-        let v = Memimage.read_int mem ~width:32 addr in
-        if v land 0xFFFFFF00 <> 0 then misspeculate ctr misspec_pc_counts st
         else begin
-          write_slice st ctr d v;
-          st.loaded <- d.sl_reg
+          apply_fault ();
+          let nx = (Array.unsafe_get dispatch pc) () in
+          if not st.halted then st.pc <- nx
         end
-    | BLDRB (d, n, x) ->
-        check1 n;
-        let off =
-          match x with BOff o -> o | BIdx i -> read_slice st ctr i
-        in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access addr;
-        write_slice st ctr d (Memimage.read_int mem ~width:8 addr);
-        st.loaded <- d.sl_reg
-    | BSTRB (s, n, x) ->
-        check2 s.sl_reg n;
-        let off =
-          match x with BOff o -> o | BIdx i -> read_slice st ctr i
-        in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access addr;
-        Memimage.write_int mem ~width:8 addr (read_slice st ctr s)
-    | BEXT (sg, d, s) ->
-        check1 s.sl_reg;
-        alu8_count ();
-        let v = read_slice st ctr s in
-        let r =
-          match sg with
-          | Unsigned -> v
-          | Signed -> if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v
-        in
-        write_reg st ctr d r
-    | BTRN (d, s) ->
-        check1 s;
-        alu8_count ();
-        let v = read_reg st ctr s in
-        if v land 0xFFFFFF00 <> 0 then misspeculate ctr misspec_pc_counts st
-        else write_slice st ctr d v
-    | BMOV (d, s) ->
-        check1 s.sl_reg;
-        write_slice st ctr d (read_slice st ctr s)
-    | BMOVI (d, v) -> write_slice st ctr d v
-    | SETDELTA v -> st.delta <- v
-    | SETMODE m -> st.mode <- m
-    | NOP -> ()
-    | HALT -> st.halted <- true);
-    st.last_load_dest <- st.loaded;
-    if not st.halted then st.pc <- st.next
-    end
-    end
-  done);
+      end
+    done
+  end;
+  settle ();
   if config.power <> None then Memimage.journal_stop mem;
   let misspec_pcs =
     List.sort compare

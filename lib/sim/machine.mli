@@ -45,31 +45,23 @@ type power = {
   max_retries : int;
 }
 
-(** Dispatch engine.  All three produce byte-identical results —
-    counters, outcome, memory image, cache state; they differ only in
-    host wall-clock speed ([Counters.wall_ns] / [simulated_mips]).
-
-    - [Classic]: the reference fetch-decode-execute loop, one big match
-      per step.  The baseline the others are differenced against.
-    - [Threaded]: direct-threaded dispatch — per-PC pre-compiled
-      closures, one indirect call per step.
-    - [Jit]: threaded dispatch plus the superblock trace-JIT
-      ({!Superblock}) fusing hot straight-line runs into single closures
-      with guard exits.  Under a power trace or fault injection the JIT
-      degenerates to threaded dispatch (every instruction is a potential
-      checkpoint/outage/fault boundary). *)
-type engine = Classic | Threaded | Jit
-
 type config = {
   mode : Bs_isa.Isa.mode;  (** Classic disables the slice extension (§3.4) *)
   fuel : int;              (** dynamic instruction budget *)
   fault : fault option;    (** inject one bit flip during the run *)
   power : power option;    (** run under injected power failures *)
-  engine : engine;         (** dispatch engine; results are identical *)
+  fuse : bool;
+      (** fuse hot paths into traces ({!Superblock.install_jit}).  Results
+          are identical either way; only host speed differs.  Power and
+          fault runs never fuse: an outage, checkpoint or bit flip can
+          strike between any two instructions.  Clearing it makes every
+          instruction run its unfused body — the reference the fused path
+          is tested against. *)
 }
 
 val default_config : config
-(** Bitspec mode, 10^9 fuel, no fault, no power failures, [Jit] engine. *)
+(** Bitspec mode, 10^9 fuel, no fault, no power failures, fusion on.
+    Callers build configs as [{ default_config with ... }]. *)
 
 type result = {
   r0 : int64;          (** the return register after HALT *)

@@ -2,45 +2,44 @@ open Bs_isa
 open Isa
 open Bs_interp
 
-(* Closure-compiled dispatch engines for the BSARM machine model.
+(* Execution of the BSARM machine model (§3.5): every instruction's
+   semantics and costs are described ONCE, and both execution paths are
+   built from that one description.
 
-   Two layers, both built once per run and amortised over millions of
-   dynamic steps:
+   The description of a fusible instruction has two halves:
 
-   - Direct-threaded dispatch ([compile_bodies]): every PC is pre-decoded
-     into a closure of type [unit -> int] that performs the instruction's
-     semantics — hazard checks, counter increments, the operation itself —
-     and returns the successor PC.  The hot loop becomes one indirect call
-     per step instead of a constructor match plus operand decode.
+   - {!fused_step}: its pure semantics — register, compare-state and
+     memory effects, the dynamic D$/L2 stalls, and the misspeculation
+     guard — as a closure that continues with [next] or, when the slice
+     ALU detects an overflow, with [mis];
+   - its static ledger: the counters it bumps before write-back
+     ({!exec_side}), its write-back ({!write_side}), spill/copy provenance
+     ({!prov_delta}), the registers its load-use hazard check watches
+     ({!hazard_regs}) and the load destination it leaves behind
+     ({!static_load_dest}).
 
-   - The superblock trace-JIT ([detect] + [install_jit]): maximal
-     straight-line runs of fusible instructions are found statically at
-     block leaders (entries, branch targets, fall-throughs, static
-     misspeculation targets); a profiling closure at each head counts
-     executions, and past [promote_threshold] it replaces itself with a
-     single fused closure chaining the run's bodies with direct calls.
-     Inside a fused trace the per-step loop overhead disappears:
-     instruction and cycle counts are flushed as per-exit constants, and
-     instruction fetches are batched per cache line (within a straight
-     line, only the first access of each I$ line can miss — the rest are
-     replayed with {!Cache.bump_hits}).
+   Two consumers, both built once per run:
 
-   Guard exits mirror the hardware's own Δ fallback: a misspeculating
-   instruction ends the trace early, flushes the counters and batched
-   fetches accumulated so far, and returns [pc + Δ] to the threaded loop.
-   Fuel and CLASSIC-mode entry guards fall back to the plain head body, so
-   the exact single-step semantics decide boundary cases.  Traces are only
-   installed when the run has no power trace and no fault injection — an
-   outage or checkpoint can strike between any two instructions, so under
-   those configs every instruction is a superblock boundary and the JIT
-   degenerates to threaded dispatch.
+   - Unfused per-PC bodies ({!compile_bodies}): the step of one
+     instruction whose [next] owes that instruction's whole ledger (paid
+     per PC, as ledger × completions, when the run stops) and whose [mis]
+     flushes only its execute side before the Δ redirect.  The hazard is
+     checked at runtime.  The seven non-fusible control
+     instructions keep small hand-written bodies.  Power and fault runs
+     use these bodies only, since an outage, checkpoint or bit flip can
+     strike between any two instructions; so does a run with fusion
+     switched off, and the trace-JIT falls back to them.
+   - The superblock trace-JIT ({!detect} + {!install_jit}): hot paths
+     chain the same steps into one closure, and each exit flushes the
+     prefix sum of the path's ledgers in one shot.  The JIT's
+     correctness therefore reduces to ledger arithmetic.
 
-   Every path here must be byte-identical in observable effect (counters,
-   outcome, memory image, cache hit/miss/LRU state) to the classic
-   interpreter loop in [Machine].  The one sanctioned divergence: when an
-   instruction raises (division by zero, memory fault, classic-mode slice
-   use), counters and run-local cache state may be part-updated — the
-   exception escapes [Machine.run], so no caller can observe them. *)
+   Both paths are byte-identical in observable effect (counters, outcome,
+   memory image, cache hit/miss/LRU state).  The one sanctioned
+   divergence: when an instruction raises (division by zero, memory
+   fault, classic-mode slice use), counters and run-local cache state may
+   be part-updated — the exception escapes [Machine.run], so no caller can
+   observe them. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 
@@ -54,7 +53,6 @@ let div_penalty = 10
 type state = {
   regs : int array;            (* 32-bit values *)
   mutable pc : int;
-  mutable next : int;          (* in-flight successor PC (classic loop only) *)
   mutable delta : int;
   mutable mode : Isa.mode;
   mutable halted : bool;
@@ -63,30 +61,9 @@ type state = {
   mutable cmp_b : int;
   mutable cmp_width8 : bool;
   mutable last_load_dest : int; (* reg written by the previous load, -1 none *)
-  mutable loaded : int;         (* load destination of the current step, -1;
-                                   classic loop only — bodies write
-                                   [last_load_dest] directly *)
 }
 
 let mask32 v = v land 0xFFFFFFFF
-
-let read_reg st ctr r =
-  ctr.Counters.reg_read32 <- ctr.Counters.reg_read32 + 1;
-  st.regs.(r)
-
-let write_reg st ctr r v =
-  ctr.Counters.reg_write32 <- ctr.Counters.reg_write32 + 1;
-  st.regs.(r) <- mask32 v
-
-let read_slice st ctr (s : slice) =
-  ctr.Counters.reg_read8 <- ctr.Counters.reg_read8 + 1;
-  (st.regs.(s.sl_reg) lsr (8 * s.sl_byte)) land 0xFF
-
-let write_slice st ctr (s : slice) v =
-  ctr.Counters.reg_write8 <- ctr.Counters.reg_write8 + 1;
-  let shift = 8 * s.sl_byte in
-  let keep = lnot (0xFF lsl shift) land 0xFFFFFFFF in
-  st.regs.(s.sl_reg) <- st.regs.(s.sl_reg) land keep lor ((v land 0xFF) lsl shift)
 
 let eval_cond st (c : cond) =
   let a = st.cmp_a and b = st.cmp_b in
@@ -147,8 +124,7 @@ let fetch cx pcv =
     else stall_other cx.ctr (l2_latency + dram_latency)
 
 (* Misspeculation at [pc]: count, attribute, pay the redirect, and return
-   the displaced successor.  Identical arithmetic to the classic loop's
-   [misspeculate], with the faulting pc passed statically. *)
+   the displaced successor [pc + Δ]. *)
 let misspec cx pc =
   let ctr = cx.ctr in
   ctr.Counters.misspecs <- ctr.Counters.misspecs + 1;
@@ -161,440 +137,6 @@ let misspec cx pc =
 let classic_slice_trap st =
   if st.mode = Isa.Classic then
     raise (Sim_trap Bs_support.Outcome.Classic_mode_slice)
-
-(* --- the threaded body compiler ----------------------------------------- *)
-
-(* One closure per PC.  Contract with the dispatch loops: when the body is
-   called, the loop has already bounds-checked the pc, fetched it through
-   the I$, charged 1 instruction + 1 cycle, and checked fuel.  The body
-   performs load-use hazard checks against [st.last_load_dest], the
-   operation (counters included), writes [st.last_load_dest] for the next
-   step, and returns the successor pc.  All operands are decoded at
-   compile time, so the only per-step work left is the semantics. *)
-let compile_op (cx : ctx) pcv (insn : insn) : unit -> int =
-  let st = cx.st and ctr = cx.ctr and mem = cx.mem in
-  let nx = pcv + 1 in
-  let check1 a = if st.last_load_dest = a then stall_load_use ctr in
-  let check2 a b =
-    if st.last_load_dest = a || st.last_load_dest = b then stall_load_use ctr
-  in
-  let alu32 () = ctr.Counters.alu32 <- ctr.Counters.alu32 + 1 in
-  let alu8 () = ctr.Counters.alu8 <- ctr.Counters.alu8 + 1 in
-  match insn with
-  | MOV (d, s) ->
-      fun () ->
-        check1 s;
-        write_reg st ctr d (read_reg st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | MOVW (d, v) ->
-      fun () ->
-        write_reg st ctr d v;
-        st.last_load_dest <- -1;
-        nx
-  | MOVT (d, v) ->
-      let hi = v lsl 16 in
-      fun () ->
-        check1 d;
-        write_reg st ctr d ((st.regs.(d) land 0xFFFF) lor hi);
-        st.last_load_dest <- -1;
-        nx
-  | ALU (op, d, n, o) -> (
-      (* fully specialised per (operation, operand shape): the hot ALU
-         path must not pay a dispatch on either *)
-      match o with
-      | Reg m -> (
-          let rr f =
-            fun () ->
-              check2 n m;
-              alu32 ();
-              write_reg st ctr d (f (read_reg st ctr n) (read_reg st ctr m));
-              st.last_load_dest <- -1;
-              nx
-          in
-          match op with
-          | OpAdd -> rr ( + )
-          | OpSub -> rr ( - )
-          | OpAnd -> rr ( land )
-          | OpOrr -> rr ( lor )
-          | OpEor -> rr ( lxor )
-          | OpLsl -> rr (fun a b -> a lsl (b land 31))
-          | OpLsr -> rr (fun a b -> (a land 0xFFFFFFFF) lsr (b land 31))
-          | OpAsr ->
-              rr (fun a b ->
-                  let sa =
-                    if a land 0x80000000 <> 0 then a - 0x100000000 else a
-                  in
-                  sa asr (b land 31)))
-      | Imm v -> (
-          let ri f =
-            fun () ->
-              check1 n;
-              alu32 ();
-              write_reg st ctr d (f (read_reg st ctr n));
-              st.last_load_dest <- -1;
-              nx
-          in
-          match op with
-          | OpAdd -> ri (fun a -> a + v)
-          | OpSub -> ri (fun a -> a - v)
-          | OpAnd -> ri (fun a -> a land v)
-          | OpOrr -> ri (fun a -> a lor v)
-          | OpEor -> ri (fun a -> a lxor v)
-          | OpLsl ->
-              let sh = v land 31 in
-              ri (fun a -> a lsl sh)
-          | OpLsr ->
-              let sh = v land 31 in
-              ri (fun a -> (a land 0xFFFFFFFF) lsr sh)
-          | OpAsr ->
-              let sh = v land 31 in
-              ri (fun a ->
-                  let sa =
-                    if a land 0x80000000 <> 0 then a - 0x100000000 else a
-                  in
-                  sa asr sh)))
-  | MUL (d, n, m) ->
-      fun () ->
-        check2 n m;
-        ctr.Counters.mul_ops <- ctr.Counters.mul_ops + 1;
-        stall_other ctr mul_penalty;
-        write_reg st ctr d (read_reg st ctr n * read_reg st ctr m);
-        st.last_load_dest <- -1;
-        nx
-  | DIV (sg, d, n, m) ->
-      let signed = sg = Signed in
-      fun () ->
-        check2 n m;
-        ctr.Counters.div_ops <- ctr.Counters.div_ops + 1;
-        stall_other ctr div_penalty;
-        let a = read_reg st ctr n and b = read_reg st ctr m in
-        if b = 0 then raise (Sim_trap Bs_support.Outcome.Division_by_zero);
-        let r =
-          if signed then
-            let s v = if v land 0x80000000 <> 0 then v - 0x100000000 else v in
-            s a / s b
-          else a / b
-        in
-        write_reg st ctr d r;
-        st.last_load_dest <- -1;
-        nx
-  | CMP (n, o) -> (
-      match o with
-      | Reg m ->
-          fun () ->
-            check2 n m;
-            alu32 ();
-            st.cmp_a <- read_reg st ctr n;
-            st.cmp_b <- read_reg st ctr m;
-            st.cmp_width8 <- false;
-            st.last_load_dest <- -1;
-            nx
-      | Imm v ->
-          fun () ->
-            check1 n;
-            alu32 ();
-            st.cmp_a <- read_reg st ctr n;
-            st.cmp_b <- v;
-            st.cmp_width8 <- false;
-            st.last_load_dest <- -1;
-            nx)
-  | CSET (c, d) ->
-      fun () ->
-        alu32 ();
-        write_reg st ctr d (if eval_cond st c then 1 else 0);
-        st.last_load_dest <- -1;
-        nx
-  | B t ->
-      fun () ->
-        stall_branch ctr;
-        st.last_load_dest <- -1;
-        t
-  | BC (c, t) ->
-      fun () ->
-        alu32 ();
-        st.last_load_dest <- -1;
-        if eval_cond st c then begin
-          stall_branch ctr;
-          t
-        end
-        else nx
-  | BL t ->
-      fun () ->
-        write_reg st ctr lr nx;
-        stall_branch ctr;
-        st.last_load_dest <- -1;
-        t
-  | BX_LR ->
-      fun () ->
-        let t = read_reg st ctr lr in
-        stall_branch ctr;
-        st.last_load_dest <- -1;
-        t
-  | LDR (w, sg, d, n, off) -> (
-      let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-      let finish v =
-        write_reg st ctr d v;
-        st.last_load_dest <- d;
-        nx
-      in
-      let start () =
-        check1 n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access cx addr;
-        Memimage.read_int mem ~width addr
-      in
-      match (sg, w) with
-      | Signed, W8 ->
-          fun () ->
-            let v = start () in
-            finish (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v)
-      | Signed, W16 ->
-          fun () ->
-            let v = start () in
-            finish (if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v)
-      | _ -> fun () -> finish (start ()))
-  | STR (w, s, n, off) ->
-      let width = match w with W8 -> 8 | W16 -> 16 | W32 -> 32 in
-      fun () ->
-        check2 s n;
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access cx addr;
-        Memimage.write_int mem ~width addr (read_reg st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | SXT (w, d, s) -> (
-      let fin r =
-        write_reg st ctr d r;
-        st.last_load_dest <- -1;
-        nx
-      in
-      match w with
-      | W8 ->
-          fun () ->
-            check1 s;
-            alu32 ();
-            let v = read_reg st ctr s in
-            fin (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v land 0xFF)
-      | W16 ->
-          fun () ->
-            check1 s;
-            alu32 ();
-            let v = read_reg st ctr s in
-            fin
-              (if v land 0x8000 <> 0 then v lor 0xFFFF0000 else v land 0xFFFF)
-      | W32 ->
-          fun () ->
-            check1 s;
-            alu32 ();
-            fin (read_reg st ctr s))
-  | UXT (w, d, s) ->
-      let m = match w with W8 -> 0xFF | W16 -> 0xFFFF | W32 -> 0xFFFFFFFF in
-      fun () ->
-        check1 s;
-        alu32 ();
-        write_reg st ctr d (read_reg st ctr s land m);
-        st.last_load_dest <- -1;
-        nx
-  | BALU (op, d, n, o) -> (
-      let operand () =
-        match o with Sl s -> read_slice cx.st cx.ctr s | BImm v -> v land 0xFF
-      in
-      match op with
-      | BAdd ->
-          fun () ->
-            classic_slice_trap st;
-            check1 n.sl_reg;
-            alu8 ();
-            let a = read_slice st ctr n in
-            let b = operand () in
-            let r = a + b in
-            st.last_load_dest <- -1;
-            if r > 0xFF then misspec cx pcv
-            else begin
-              write_slice st ctr d r;
-              nx
-            end
-      | BSub ->
-          fun () ->
-            classic_slice_trap st;
-            check1 n.sl_reg;
-            alu8 ();
-            let a = read_slice st ctr n in
-            let b = operand () in
-            let r = a - b in
-            st.last_load_dest <- -1;
-            if r < 0 then misspec cx pcv
-            else begin
-              write_slice st ctr d r;
-              nx
-            end
-      | BAnd | BOrr | BEor ->
-          let f =
-            match op with
-            | BAnd -> ( land )
-            | BOrr -> ( lor )
-            | _ -> ( lxor )
-          in
-          fun () ->
-            classic_slice_trap st;
-            check1 n.sl_reg;
-            alu8 ();
-            let a = read_slice st ctr n in
-            let b = operand () in
-            write_slice st ctr d (f a b);
-            st.last_load_dest <- -1;
-            nx)
-  | BCMPS (n, o) ->
-      let operand () =
-        match o with Sl s -> read_slice cx.st cx.ctr s | BImm v -> v land 0xFF
-      in
-      fun () ->
-        classic_slice_trap st;
-        alu8 ();
-        st.cmp_a <- read_slice st ctr n;
-        st.cmp_b <- operand ();
-        st.cmp_width8 <- true;
-        st.last_load_dest <- -1;
-        nx
-  | BLDRS (d, n, x) ->
-      let offset () =
-        match x with BOff o -> o | BIdx i -> read_slice cx.st cx.ctr i
-      in
-      fun () ->
-        classic_slice_trap st;
-        check1 n;
-        let off = offset () in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access cx addr;
-        let v = Memimage.read_int mem ~width:32 addr in
-        if v land 0xFFFFFF00 <> 0 then begin
-          st.last_load_dest <- -1;
-          misspec cx pcv
-        end
-        else begin
-          write_slice st ctr d v;
-          st.last_load_dest <- d.sl_reg;
-          nx
-        end
-  | BLDRB (d, n, x) ->
-      let offset () =
-        match x with BOff o -> o | BIdx i -> read_slice cx.st cx.ctr i
-      in
-      fun () ->
-        classic_slice_trap st;
-        check1 n;
-        let off = offset () in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.loads <- ctr.Counters.loads + 1;
-        mem_access cx addr;
-        write_slice st ctr d (Memimage.read_int mem ~width:8 addr);
-        st.last_load_dest <- d.sl_reg;
-        nx
-  | BSTRB (s, n, x) ->
-      let offset () =
-        match x with BOff o -> o | BIdx i -> read_slice cx.st cx.ctr i
-      in
-      fun () ->
-        classic_slice_trap st;
-        check2 s.sl_reg n;
-        let off = offset () in
-        let addr = (read_reg st ctr n + off) land 0xFFFFFFFF in
-        ctr.Counters.stores <- ctr.Counters.stores + 1;
-        mem_access cx addr;
-        Memimage.write_int mem ~width:8 addr (read_slice st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | BEXT (sg, d, s) -> (
-      match sg with
-      | Unsigned ->
-          fun () ->
-            classic_slice_trap st;
-            check1 s.sl_reg;
-            alu8 ();
-            write_reg st ctr d (read_slice st ctr s);
-            st.last_load_dest <- -1;
-            nx
-      | Signed ->
-          fun () ->
-            classic_slice_trap st;
-            check1 s.sl_reg;
-            alu8 ();
-            let v = read_slice st ctr s in
-            write_reg st ctr d
-              (if v land 0x80 <> 0 then v lor 0xFFFFFF00 else v);
-            st.last_load_dest <- -1;
-            nx)
-  | BTRN (d, s) ->
-      fun () ->
-        classic_slice_trap st;
-        check1 s;
-        alu8 ();
-        let v = read_reg st ctr s in
-        st.last_load_dest <- -1;
-        if v land 0xFFFFFF00 <> 0 then misspec cx pcv
-        else begin
-          write_slice st ctr d v;
-          nx
-        end
-  | BMOV (d, s) ->
-      fun () ->
-        classic_slice_trap st;
-        check1 s.sl_reg;
-        write_slice st ctr d (read_slice st ctr s);
-        st.last_load_dest <- -1;
-        nx
-  | BMOVI (d, v) ->
-      fun () ->
-        classic_slice_trap st;
-        write_slice st ctr d v;
-        st.last_load_dest <- -1;
-        nx
-  | SETDELTA v ->
-      fun () ->
-        st.delta <- v;
-        st.last_load_dest <- -1;
-        nx
-  | SETMODE m ->
-      fun () ->
-        st.mode <- m;
-        st.last_load_dest <- -1;
-        nx
-  | NOP ->
-      fun () ->
-        st.last_load_dest <- -1;
-        nx
-  | HALT ->
-      fun () ->
-        st.halted <- true;
-        st.last_load_dest <- -1;
-        nx
-
-let compile_body (cx : ctx) pcv : unit -> int =
-  let body = compile_op cx pcv cx.prog.Bs_backend.Asm.code.(pcv) in
-  let ctr = cx.ctr in
-  (* provenance counting is baked into the body, so untagged instructions
-     (the overwhelming majority) pay nothing *)
-  match cx.prog.Bs_backend.Asm.prov.(pcv) with
-  | PSpillLoad ->
-      fun () ->
-        ctr.Counters.spill_loads <- ctr.Counters.spill_loads + 1;
-        body ()
-  | PSpillStore ->
-      fun () ->
-        ctr.Counters.spill_stores <- ctr.Counters.spill_stores + 1;
-        body ()
-  | PCopy ->
-      fun () ->
-        ctr.Counters.copies <- ctr.Counters.copies + 1;
-        body ()
-  | _ -> body
-
-let compile_bodies (cx : ctx) : (unit -> int) array =
-  Array.init (Array.length cx.prog.Bs_backend.Asm.code) (compile_body cx)
 
 (* --- superblock detection ------------------------------------------------ *)
 
@@ -732,33 +274,32 @@ let detect (p : Bs_backend.Asm.program) : trace list =
   done;
   List.rev !traces
 
-(* --- trace fusion -------------------------------------------------------- *)
+(* --- the instruction description: ledger and step ------------------------ *)
 
 (* Inside a straight-line trace, almost all bookkeeping is static:
 
-   - every counter a threaded body bumps (register-file reads/writes, ALU
+   - every counter an instruction bumps (register-file reads/writes, ALU
      activity, MUL/DIV penalties, load/store counts, spill provenance) is
-     a constant of the opcode;
+     a constant of the opcode — its ledger;
    - every load-use hazard except the first instruction's is resolved at
      fuse time, because each instruction's [last_load_dest] contribution
      is itself static on the fall-through path;
    - [last_load_dest] only matters to whoever runs AFTER the trace, so it
      is written once at each exit instead of once per instruction.
 
-   Fusion therefore compiles counter-free semantic closures
-   ({!fused_step}) and folds the whole static ledger into per-exit
-   prefix-sum constants ({!delta}), applied by the exit that actually
-   fires: the tail (whole trace completed), or a misspeculation guard at
-   position j (instructions 0..j-1 completed plus j's execute side — a
-   misspeculating instruction reads its operands and pays its ALU but
-   suppresses its write-back).  Dynamic costs — D$/L2 stalls, the entry
+   A trace therefore chains the same {!fused_step} closures the unfused
+   bodies run, and folds the path's ledgers into per-exit prefix-sum
+   constants ({!delta}), applied by the exit that actually fires: the
+   tail (whole trace completed), or a misspeculation guard at position j
+   (instructions 0..j-1 completed plus j's execute side — exactly what
+   j's unfused [mis] flushes).  Dynamic costs — D$/L2 stalls, the entry
    hazard, the misspeculation redirect itself — are still charged at
    runtime as they occur, and a DIV-by-zero raise escapes [run] before
    any result is observable, so deferred flushing is exact. *)
 
-(* Static per-instruction counter ledger: everything a threaded body
-   would bump, minus the loop's 1 instr + 1 cycle (charged separately at
-   exits) and minus dynamic memory stalls. *)
+(* Static per-instruction counter ledger: every counter an instruction
+   bumps, minus the dispatch loop's 1 instr + 1 cycle (charged separately)
+   and minus dynamic memory stalls (charged by the step as they occur). *)
 type delta = {
   x_cycles : int;  (* beyond the base cycle: MUL/DIV penalties, static
                       load-use stalls *)
@@ -826,9 +367,9 @@ let dscale d n =
     x_sps = d.x_sps * n;
     x_cop = d.x_cop * n }
 
-(* [apply_delta ctr d base]: flush one exit's ledger; [base] is the
-   number of completed instructions still owed to instrs/cycles (the
-   dispatch loop pre-charged the trace head's). *)
+(* [apply_delta ctr d base]: flush one ledger; [base] is the number of
+   completed instructions still owed to instrs/cycles (the dispatch loop
+   pre-charged the first one's, so an unfused body passes 0). *)
 let apply_delta ctr (d : delta) base =
   let open Counters in
   ctr.instrs <- ctr.instrs + base;
@@ -867,10 +408,8 @@ let slice_operand_reads = function Sl _ -> 1 | BImm _ -> 0
 let boff_reads = function BOff _ -> 0 | BIdx _ -> 1
 
 (* The counters an instruction bumps before (or regardless of) its
-   write-back — paid even when it misspeculates.  Must mirror
-   {!compile_op} bump for bump; note the asymmetries it inherits from the
-   classic loop: MOVT reads its register directly (no read counter), and
-   CSET/BCMPS do not hazard-check. *)
+   write-back — paid even when it misspeculates.  MOVT's merge with its
+   own register is not a counted register read. *)
 let exec_side (insn : insn) =
   match insn with
   | MOV _ -> { dzero with x_rr32 = 1 }
@@ -929,9 +468,9 @@ let prov_delta = function
   | PCopy -> { dzero with x_cop = 1 }
   | _ -> dzero
 
-(* The registers an instruction's load-use hazard check watches — exactly
-   the check1/check2 arguments in {!compile_op} (empty where the classic
-   loop performs no check). *)
+(* The registers an instruction's load-use hazard check watches.  CSET
+   and BCMPS read only compare state or are not checked; MOVT watches the
+   register it merges into. *)
 let hazard_regs (insn : insn) =
   match insn with
   | MOV (_, s) -> [ s ]
@@ -953,19 +492,25 @@ let hazard_regs (insn : insn) =
   | MOVW _ | CSET _ | BCMPS _ | BMOVI _ | NOP -> []
   | B _ | BC _ | BL _ | BX_LR | HALT | SETDELTA _ | SETMODE _ -> []
 
+(* The execute side of the instruction at [pcv] plus its provenance:
+   everything it owes even when it misspeculates. *)
+let exec_ledger (p : Bs_backend.Asm.program) pcv =
+  dadd (exec_side p.Bs_backend.Asm.code.(pcv)) (prov_delta p.Bs_backend.Asm.prov.(pcv))
+
 (* The [last_load_dest] an instruction leaves behind on its fall-through
-   path (every misspeculation path leaves -1 and exits the trace). *)
+   path (every misspeculation path leaves -1). *)
 let static_load_dest (insn : insn) =
   match insn with
   | LDR (_, _, d, _, _) -> d
   | BLDRS (d, _, _) | BLDRB (d, _, _) -> d.sl_reg
   | _ -> -1
 
-(* Every register-file index an instruction touches.  Fused steps use
-   unchecked array accesses, so {!fuse} refuses to fuse any trace whose
-   indices are not proven in range here (the assembler never emits such a
-   program, but a malformed one must keep the classic engine's
-   out-of-bounds exception rather than read garbage). *)
+(* Every register-file index an instruction touches.  Steps use
+   unchecked array accesses, so an instruction whose indices are not
+   proven in range here is never built into a step: its unfused body
+   raises the checked access's [Invalid_argument] and no trace through it
+   is fused (the assembler never emits such a program, but a malformed one
+   must fail rather than read garbage). *)
 let regs_of_insn (insn : insn) =
   let op = function Sl s -> [ s.sl_reg ] | BImm _ -> [] in
   let idx = function BOff _ -> [] | BIdx i -> [ i.sl_reg ] in
@@ -992,17 +537,19 @@ let regs_of_insn (insn : insn) =
   | B _ | BC _ | HALT | SETDELTA _ | SETMODE _ -> []
   | BL _ | BX_LR -> [ lr ]
 
-(* One fused position: pure semantics.  No counters, no hazard checks, no
-   [last_load_dest] writes, no CLASSIC-mode trap (the trace entry guard
-   falls back when the mode is wrong, and SETMODE is not fusible, so the
-   mode cannot change mid-trace).  [next] continues the chain; [mis] is
-   the counted guard exit for instructions that can misspeculate. *)
+(* One instruction's pure semantics.  No static counters, no hazard
+   checks, no [last_load_dest] writes, no CLASSIC-mode trap — the caller
+   supplies those (an unfused body checks the mode up front; a trace's
+   entry guard falls back when the mode is wrong, and SETMODE is not
+   fusible, so the mode cannot change mid-trace).  [next] continues;
+   [mis] is the exit taken when an instruction that can misspeculate
+   does. *)
 let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
     ~(mis : (unit -> int) option) : unit -> int =
   let st = cx.st and mem = cx.mem in
   let regs = st.regs in
-  (* unchecked register-file accesses — {!fuse} proved every index in
-     range via {!regs_of_insn} before building any step *)
+  (* unchecked register-file accesses — every index was proven in range
+     via {!regs_of_insn} before any step is built *)
   let ( .%() ) = Array.unsafe_get in
   let ( .%()<- ) = Array.unsafe_set in
   (* slice operands are decoded to (index, shift, keep-mask) ints here, and
@@ -1381,19 +928,170 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
   | B _ | BC _ | BL _ | BX_LR | HALT | SETDELTA _ | SETMODE _ ->
       assert false
 
+(* --- unfused per-PC bodies ----------------------------------------------- *)
+
+(* One closure per PC.  Contract with the dispatch loops: when the body is
+   called, the loop has already bounds-checked the pc, fetched it through
+   the I$, charged 1 instruction + 1 cycle, and checked fuel.  The body
+   performs the instruction — hazard check, semantics, counters — leaves
+   [st.last_load_dest] for the next step, and returns the successor pc. *)
+
+(* A fusible instruction's body is its {!fused_step} with a
+   one-instruction ledger.  [next] owes the whole ledger (execute side,
+   write-back, provenance): it counts the completion in [completions.(pc)],
+   and {!compile_bodies}' settle step pays [ledger × completions] once,
+   after the run — nothing reads those counters mid-run, and a raise
+   makes them unobservable.  [mis] flushes only the execute side and
+   provenance before the Δ redirect.  Both first check the load-use
+   hazard: the step never touches [last_load_dest], so it still names the
+   PREVIOUS instruction's load when they run.  Slice instructions check
+   the mode before the step, so a CLASSIC-mode trap leaves no effect
+   behind. *)
+let derived_body (cx : ctx) ~completions pcv insn : unit -> int =
+  let st = cx.st and ctr = cx.ctr in
+  let lld = static_load_dest insn and nx = pcv + 1 in
+  (* -2 never equals [last_load_dest], which is a register or -1 *)
+  let a, b =
+    match hazard_regs insn with
+    | [] -> (-2, -2)
+    | [ a ] -> (a, a)
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
+  let next () =
+    let l = st.last_load_dest in
+    if l = a || l = b then stall_load_use ctr;
+    Array.unsafe_set completions pcv (Array.unsafe_get completions pcv + 1);
+    st.last_load_dest <- lld;
+    nx
+  in
+  let mis =
+    if can_misspeculate insn then
+      let x = exec_ledger cx.prog pcv in
+      Some
+        (fun () ->
+          let l = st.last_load_dest in
+          if l = a || l = b then stall_load_use ctr;
+          apply_delta ctr x 0;
+          st.last_load_dest <- -1;
+          misspec cx pcv)
+    else None
+  in
+  let step = fused_step cx insn ~next ~mis in
+  if is_slice_insn insn then fun () ->
+    classic_slice_trap st;
+    step ()
+  else step
+
+(* The seven non-fusible instructions: control transfer and the special
+   registers. *)
+let control_body (cx : ctx) pcv insn : unit -> int =
+  let st = cx.st and ctr = cx.ctr in
+  let nx = pcv + 1 in
+  match insn with
+  | B t ->
+      fun () ->
+        stall_branch ctr;
+        st.last_load_dest <- -1;
+        t
+  | BC (c, t) ->
+      fun () ->
+        ctr.Counters.alu32 <- ctr.Counters.alu32 + 1;
+        st.last_load_dest <- -1;
+        if eval_cond st c then begin
+          stall_branch ctr;
+          t
+        end
+        else nx
+  | BL t ->
+      fun () ->
+        ctr.Counters.reg_write32 <- ctr.Counters.reg_write32 + 1;
+        st.regs.(lr) <- nx;
+        stall_branch ctr;
+        st.last_load_dest <- -1;
+        t
+  | BX_LR ->
+      fun () ->
+        ctr.Counters.reg_read32 <- ctr.Counters.reg_read32 + 1;
+        stall_branch ctr;
+        st.last_load_dest <- -1;
+        st.regs.(lr)
+  | SETDELTA v ->
+      fun () ->
+        st.delta <- v;
+        st.last_load_dest <- -1;
+        nx
+  | SETMODE m ->
+      fun () ->
+        st.mode <- m;
+        st.last_load_dest <- -1;
+        nx
+  | HALT ->
+      fun () ->
+        st.halted <- true;
+        st.last_load_dest <- -1;
+        nx
+  | _ -> assert false
+
+let regs_in_range (cx : ctx) insn =
+  let n = Array.length cx.st.regs in
+  List.for_all (fun r -> r >= 0 && r < n) (regs_of_insn insn)
+
+let compile_body (cx : ctx) ~completions pcv : unit -> int =
+  let insn = cx.prog.Bs_backend.Asm.code.(pcv) in
+  if not (fusible insn) then
+    let body = control_body cx pcv insn in
+    match cx.prog.Bs_backend.Asm.prov.(pcv) with
+    | PNormal -> body
+    | prov ->
+        let d = prov_delta prov in
+        fun () ->
+          apply_delta cx.ctr d 0;
+          body ()
+  else if regs_in_range cx insn then
+    derived_body cx ~completions pcv insn
+  else fun () -> invalid_arg "index out of bounds"
+
+let compile_bodies (cx : ctx) : (unit -> int) array * (unit -> unit) =
+  let code = cx.prog.Bs_backend.Asm.code in
+  let n = Array.length code in
+  let completions = Array.make n 0 in
+  let bodies = Array.init n (compile_body cx ~completions) in
+  (* ledgers are built only for the pcs that ran *)
+  let settle () =
+    Array.iteri
+      (fun pcv k ->
+        if k > 0 then begin
+          let d = dadd (exec_ledger cx.prog pcv) (write_side code.(pcv)) in
+          apply_delta cx.ctr (dscale d k) 0;
+          completions.(pcv) <- 0
+        end)
+      completions
+  in
+  (bodies, settle)
+
+(* Precondition for {!fuse}: every register-file index in the trace is in
+   range, so the unchecked accesses in {!fused_step} are sound.  Any
+   program the assembler emits passes; a malformed one stays on the
+   unfused bodies, which raise at the offending instruction. *)
+let trace_regs_ok (cx : ctx) (tr : trace) =
+  Array.for_all
+    (fun pcv -> regs_in_range cx cx.prog.Bs_backend.Asm.code.(pcv))
+    tr.t_pcs
+
 (* Fuse one trace into a single closure with the same contract as a body:
    called after the loop has fetched/charged/fuel-checked the head, it
    executes the whole straight line and returns the successor pc.
 
-   What the fusion removes relative to the threaded loop:
+   What the fusion removes relative to unfused dispatch:
 
    - the per-instruction loop itself (fetch, charge, fuel check,
      dispatch): fetches are batched per I$ line — the first access of
      each line goes through {!fetch} at the crossing (it alone can miss),
      the rest are replayed as guaranteed same-line hits with
      {!Cache.bump_hits} at the next crossing or exit;
-   - every static counter bump and statically-resolved hazard stall,
-     flushed as one precomputed {!delta} at the exit that fires;
+   - every per-instruction ledger flush and dynamic hazard check, replaced
+     by one precomputed {!delta} at the exit that fires;
    - fuel is checked once at entry (if the budget could expire mid-trace,
      fall back to single-step dispatch, which finds the exact boundary).
 
@@ -1402,22 +1100,6 @@ let fused_step (cx : ctx) (insn : insn) ~(next : unit -> int)
    included, its write-back suppressed), restores [last_load_dest], pays
    the redirect through {!misspec} and returns the displaced pc — the
    software mirror of the hardware's PC := PC + Δ fallback. *)
-(* Precondition for {!fuse}: every register-file index in the trace is in
-   range, so the unchecked accesses in {!fused_step} are sound.  Any
-   program the assembler emits passes; a malformed one stays on the
-   threaded bodies and raises exactly where the classic engine would. *)
-let trace_regs_ok (cx : ctx) (tr : trace) =
-  let code = cx.prog.Bs_backend.Asm.code in
-  let nregs = Array.length cx.st.regs in
-  let ok = ref true in
-  Array.iter
-    (fun pcv ->
-      List.iter
-        (fun r -> if r < 0 || r >= nregs then ok := false)
-        (regs_of_insn code.(pcv)))
-    tr.t_pcs;
-  !ok
-
 let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   let ctr = cx.ctr and icache = cx.icache and st = cx.st in
   let pcs = tr.t_pcs and stop = tr.t_stop in
@@ -1749,7 +1431,7 @@ let fuse (cx : ctx) (tr : trace) (fallback : unit -> int) : unit -> int =
   fun () ->
     (* entry guards: if fuel can expire inside the trace, or a CLASSIC-mode
        slice trap must fire at its exact instruction, fall back to the
-       single-step head body and let the threaded loop decide *)
+       single-step head body and let the dispatch loop decide *)
     if ctr.Counters.instrs + budget > fuel then fallback ()
     else if has_slice && st.mode = Isa.Classic then fallback ()
     else entry ()

@@ -1,57 +1,53 @@
-(** Closure-compiled dispatch engines for the BSARM machine model.
+(** Execution of the BSARM machine model: each instruction described once,
+    run unfused or fused.
 
-    Two layers, both built once per run:
+    Every fusible instruction is described by one semantic closure (its
+    {e step}: register, compare-state and memory effects, dynamic D$/L2
+    stalls, the misspeculation guard) plus a static {e ledger} of the
+    counters it bumps — split into an execute side, paid even when the
+    instruction misspeculates, and a write-back side — together with its
+    spill/copy provenance, the registers its load-use hazard check
+    watches, and the load destination it leaves behind.  Both execution
+    paths are built from that description:
 
-    - {b Direct-threaded dispatch} ({!compile_bodies}): every PC is
-      pre-decoded into a closure of type [unit -> int] performing the
-      instruction's full semantics — hazard checks, counters, operation —
-      and returning the successor PC.  The hot loop becomes one indirect
-      call per step instead of a constructor match plus operand decode.
+    - {b Unfused per-PC bodies} ({!compile_bodies}): one instruction's
+      step whose continuation checks the load-use hazard, owes the
+      instruction's whole ledger and returns [pc + 1]; its misspeculation
+      exit flushes only the execute side and returns [pc + Δ].  Only the
+      seven non-fusible instructions (B, BC, BL, BX_LR, HALT, SETDELTA,
+      SETMODE) have hand-written bodies.  Power and fault runs dispatch
+      these bodies only, as does a run with fusion switched off; the
+      trace-JIT falls back to them.
 
-    - {b Superblock trace-JIT} ({!detect} + {!install_jit}): hot paths
-      are fused — lazily, past {!promote_threshold} executions — into
-      single closures.  A trace is a {e path}, not a contiguous range: it
-      stitches straight-line runs together through unconditional jumps
-      and calls, and through conditional branches predicted by a
-      taken-direction heuristic that is kept only when it closes a loop
-      back to the trace head.  Fused steps run counter-free: each exit
-      carries a pre-computed {e delta ledger} of cycle/stall/energy
-      constants flushed in one shot, instruction fetches are batched per
-      cache line via {!Cache.bump_hits}, and a loop trace defers even the
-      per-iteration flush until the loop finally exits.  Guard exits
-      (misspeculation, a conditional going the unpredicted way, fuel
-      expiry, classic-mode slice use) flush their ledger and fall back to
-      the threaded loop.
+    - {b Superblock trace-JIT} ({!install_jit}): hot paths — found
+      statically at block leaders and fused lazily past a promotion
+      threshold — chain the same steps into one closure.  A trace is a
+      {e path}, not a contiguous range: it stitches straight-line runs
+      together through unconditional jumps and calls, and through
+      conditional branches predicted by a taken-direction heuristic that
+      is kept only when it closes a loop back to the trace head.  Each
+      exit flushes the prefix sum of the path's ledgers in one shot,
+      instruction fetches are batched per cache line via
+      {!Cache.bump_hits}, and a loop trace defers even the per-iteration
+      flush until the loop finally exits.  Guard exits (misspeculation, a
+      conditional going the unpredicted way, fuel expiry, classic-mode
+      slice use) flush their ledger and fall back to the unfused bodies.
 
-    Both engines are byte-identical in observable effect (counters,
-    outcome, memory image, cache state) to the classic interpreter loop
-    in {!Machine}; the only sanctioned divergence is counter state at the
-    moment an exception escapes, which no caller can observe.  Traces
-    must only be installed when the run has no power trace and no fault
-    injection — under those configs every instruction is a potential
-    checkpoint/outage/fault boundary, so the JIT degenerates to threaded
-    dispatch. *)
+    Both paths are byte-identical in observable effect (counters,
+    outcome, memory image, cache state); the only sanctioned divergence
+    is counter state at the moment an exception escapes, which no caller
+    can observe.  Traces must only be installed when the run has no power
+    trace and no fault injection. *)
 
 exception Sim_trap of Bs_support.Outcome.trap
 (** The machine's structured trap.  {!Machine.Sim_trap} rebinds this
     exception, so the two are interchangeable. *)
-
-(** {1 Timing constants (cycles)} *)
-
-val l2_latency : int
-val dram_latency : int
-val branch_penalty : int
-val mul_penalty : int
-val div_penalty : int
 
 (** {1 Architectural state} *)
 
 type state = {
   regs : int array;  (** 32-bit values *)
   mutable pc : int;
-  mutable next : int;
-      (** in-flight successor PC; used by the classic loop only — bodies
-          return the successor instead *)
   mutable delta : int;
   mutable mode : Bs_isa.Isa.mode;
   mutable halted : bool;
@@ -60,21 +56,17 @@ type state = {
   mutable cmp_width8 : bool;
   mutable last_load_dest : int;
       (** register written by the previous load, [-1] if none *)
-  mutable loaded : int;
-      (** load destination of the current step; classic loop only —
-          bodies write [last_load_dest] directly *)
 }
 
 val mask32 : int -> int
-val read_reg : state -> Counters.t -> int -> int
-val write_reg : state -> Counters.t -> int -> int -> unit
-val read_slice : state -> Counters.t -> Bs_isa.Isa.slice -> int
-val write_slice : state -> Counters.t -> Bs_isa.Isa.slice -> int -> unit
-val eval_cond : state -> Bs_isa.Isa.cond -> bool
+
+val stall_other : Counters.t -> int -> unit
+(** Charge [n] stall cycles not attributed to a branch or a load-use
+    hazard (memory latency, checkpoint/restore). *)
 
 (** {1 Dispatch context} *)
 
-(** Everything a dispatch engine needs, bundled once per run. *)
+(** Everything the execution paths need, bundled once per run. *)
 type ctx = {
   st : state;
   ctr : Counters.t;
@@ -89,61 +81,23 @@ type ctx = {
   fuel : int;
 }
 
-val mem_access : ctx -> int -> unit
-(** Data access: D$ → L2 → DRAM, charging latency stalls. *)
-
 val fetch : ctx -> int -> unit
 (** Instruction fetch for [pc]: I$ → L2 → DRAM. *)
 
-val misspec : ctx -> int -> int
-(** Misspeculation at [pc]: count, attribute, pay the redirect penalty,
-    return [pc + Δ]. *)
+(** {1 Execution} *)
 
-(** {1 Direct-threaded dispatch} *)
-
-val compile_bodies : ctx -> (unit -> int) array
-(** One closure per PC.  Contract: the dispatch loop has already
-    bounds-checked the pc, fetched it through the I$, charged one
-    instruction and one cycle, and checked fuel; the body performs the
-    instruction (hazards, counters, semantics, [last_load_dest]) and
-    returns the successor pc. *)
-
-(** {1 Superblock trace-JIT} *)
-
-type trace = {
-  t_head : int;  (** = [t_pcs.(0)]; the dispatch slot the trace owns *)
-  t_pcs : int array;
-      (** the executed path: straight-line runs stitched together through
-          interior unconditional jumps and forward conditionals
-          (fall-through direction) *)
-  t_stop : int;
-      (** the first pc not on the path: a terminal branch to absorb into
-          the fused exit, or the fall-through successor *)
-}
-
-val min_trace_len : int
-val max_trace_len : int
-
-val promote_threshold : int
-(** Executions of a trace head before it is fused. *)
-
-val fusible : Bs_isa.Isa.insn -> bool
-(** Instructions that may join a trace: control always falls through them
-    (misspeculation exits via a guard) and they cannot change the
-    dispatch mode or Δ mid-trace.  Branches are not fusible but can still
-    sit on a trace path: {!detect} follows unconditional jumps through
-    and keeps forward conditionals as counted guard exits. *)
-
-val detect : Bs_backend.Asm.program -> trace list
-(** Static trace heads — block leaders of the straight-line CFG (entries,
-    branch/call targets, fall-throughs, static misspeculation targets) —
-    each extended along its superblock path: fusible instructions fall
-    through, forward conditionals continue on the fall-through direction,
-    and interior unconditional jumps are followed through (stitching the
-    backend's trampolined blocks into whole loop bodies).  The walk ends
-    at a dynamic successor, a backward conditional, a jump that would
-    revisit the path, or the length cap.  Ascending head order; traces
-    may overlap. *)
+val compile_bodies : ctx -> (unit -> int) array * (unit -> unit)
+(** One unfused body per PC, and the run's settle step.  Contract: the
+    dispatch loop has already bounds-checked the pc, fetched it through
+    the I$, charged one instruction and one cycle, and checked fuel; the
+    body performs the instruction (hazard, semantics, [last_load_dest])
+    and returns the successor pc.  A fusible instruction's static ledger
+    is not paid per execution: the body counts its completions, and
+    [settle ()] — called once, when the run stops — adds ledger ×
+    completions to the counters; until then they lack those ledgers
+    ([instrs] is always current, since the loop charges it).  A
+    body whose instruction names a register outside the register file
+    raises [Invalid_argument] when run. *)
 
 val install_jit : ctx -> (unit -> int) array -> (unit -> int) array
 (** A dispatch table over [bodies] with a lazily-promoting profiling

@@ -1,23 +1,23 @@
 open Bs_support
 open Bitspec
 
-(* Engine equivalence and the memory-image correctness sweep.
+(* Execution-path equivalence, power rollback, and the memory-image
+   correctness sweep.
 
-   The direct-threaded and superblock trace-JIT engines exist for host
-   speed only: for any program, any input, and any injected power trace,
-   they must produce results byte-identical to the classic reference
-   fetch-decode-execute loop — return value, outcome, every activity
-   counter, misspeculation attribution, cache hit/miss state and the
-   final memory image.  ([Counters.wall_ns] is deliberately excluded
-   from [Counters.to_assoc], so the comparison is host-speed-blind.)
+   Trace fusion exists for host speed only: for any program and any
+   input, a fused run must produce results byte-identical to the unfused
+   per-instruction reference ([Machine.config.fuse = false]) — return
+   value, outcome, every activity counter, misspeculation attribution,
+   cache hit/miss state and the final memory image.
+   ([Counters.wall_ns] is deliberately excluded from [Counters.to_assoc],
+   so the comparison is host-speed-blind.)  The absolute numbers both
+   paths must agree on are pinned separately by the golden counters.
 
-   Also covered here: the memory-image layout boundary (a layout ending
-   exactly at [size] fits; one byte more faults, before anything is
-   allocated), duplicate-global rejection (BS-IMG-01), and the undo
+   Also covered here: a power run that finishes must end exactly where
+   the unpowered run does; the memory-image layout boundary (a layout
+   ending exactly at [size] fits; one byte more faults, before anything
+   is allocated), duplicate-global rejection (BS-IMG-01), and the undo
    journal's snapshot/restore semantics. *)
-
-let other_engines =
-  [ ("threaded", Bs_sim.Machine.Threaded); ("jit", Bs_sim.Machine.Jit) ]
 
 (* One run's complete observable state. *)
 type obs = {
@@ -34,11 +34,11 @@ let no_obs =
   { o_exn = None; o_r0 = 0L; o_outcome = ""; o_ctr = []; o_misspec = [];
     o_caches = []; o_mem = None }
 
-(* Run [c] on a fresh memory image under [engine].  [power] builds the
-   power configuration per run — a Powertrace is stateful, so every
-   engine must get its own (identically seeded) trace. *)
-let observe ?(fuel = 2_000_000) ?power (c : Driver.compiled) engine ~entry
-    ~args =
+(* Run [c] on a fresh memory image, fused or not.  [power] builds the
+   power configuration per run — a Powertrace is stateful, so every run
+   must get its own (identically seeded) trace. *)
+let observe ?(fuel = 2_000_000) ?power ?(fuse = true) (c : Driver.compiled)
+    ~entry ~args =
   let open Bs_sim in
   let mem = Bs_interp.Memimage.create c.Driver.ir in
   let mode =
@@ -47,7 +47,7 @@ let observe ?(fuel = 2_000_000) ?power (c : Driver.compiled) engine ~entry
     else Bs_isa.Isa.Classic
   in
   let power = Option.map (fun mk -> mk c) power in
-  let config = { Machine.mode; fuel; fault = None; power; engine } in
+  let config = { Machine.default_config with mode; fuel; power; fuse } in
   match Machine.run ~config c.Driver.program mem ~entry ~args with
   | exception Machine.Sim_trap t ->
       { no_obs with o_exn = Some ("trap:" ^ Outcome.trap_name t) }
@@ -96,22 +96,13 @@ let first_diff a b =
         Some "final memory image"
     | _ -> None
 
-(* Difference [threaded] and [jit] against [classic] on one compiled
+(* Difference the fused run against the unfused reference on one compiled
    program; returns true or fail_reportf's with the first divergence. *)
-let check_compiled ?fuel ?power what (c : Driver.compiled) ~entry ~args =
-  let reference =
-    observe ?fuel ?power c Bs_sim.Machine.Classic ~entry ~args
-  in
-  List.iter
-    (fun (name, engine) ->
-      let o = observe ?fuel ?power c engine ~entry ~args in
-      match first_diff reference o with
-      | None -> ()
-      | Some d ->
-          QCheck.Test.fail_reportf "%s: %s diverges from classic on %s" what
-            name d)
-    other_engines;
-  true
+let check_compiled what (c : Driver.compiled) ~entry ~args =
+  let reference = observe ~fuse:false c ~entry ~args in
+  match first_diff reference (observe ~fuse:true c ~entry ~args) with
+  | None -> true
+  | Some d -> QCheck.Test.fail_reportf "%s: fused diverges from unfused on %s" what d
 
 let compile_seed ?size seed =
   let source = Bs_fuzz.Gen.program ?size seed in
@@ -146,12 +137,14 @@ let test_pinned_seeds () =
         true (check_seed seed))
     [ 1; 2; 3; 42; 1234; 99999; 424242; 7777777 ]
 
-(* --- under an injected power trace -------------------------------------- *)
+(* --- power rollback is exact -------------------------------------------- *)
 
-(* Under power failures the JIT degenerates to threaded dispatch (every
-   instruction is a potential outage/checkpoint boundary), but the
-   results must STILL be byte-identical — including restore counts,
-   re-executed instructions and the journal-rolled memory image. *)
+(* Checkpoint/restore must be invisible in the result: a power run that
+   finishes returns the unpowered run's r0 and leaves its final memory
+   image, and once the re-executed instructions are taken out it executed
+   exactly the unpowered run's instructions — each restore rolls back to
+   a state the program really passed through, with nothing lost or
+   replayed twice. *)
 let check_power_seed seed =
   match compile_seed ~size:8 seed with
   | None -> true
@@ -177,67 +170,78 @@ let check_power_seed seed =
         | _ -> Checkpoint.Pre_speculation
       in
       let power _ =
-        (* fresh (identically seeded) trace per engine run: the trace
-           object advances as the machine consumes it *)
         { Machine.trace =
             Powertrace.create ~seed:(Int64.of_int (seed + 1)) ~hot_pcs dist;
           policy;
           max_retries = 6 }
       in
-      check_compiled ~power
-        (Printf.sprintf "power seed %d (%s)" seed
-           (Checkpoint.policy_name policy))
-        c ~entry:Bs_fuzz.Gen.entry
-        ~args:[ Bs_fuzz.Gen.entry_arg seed ]
+      let entry = Bs_fuzz.Gen.entry and args = [ Bs_fuzz.Gen.entry_arg seed ] in
+      let plain = observe c ~entry ~args in
+      let powered = observe ~power c ~entry ~args in
+      let what =
+        Printf.sprintf "power seed %d (%s)" seed
+          (Checkpoint.policy_name policy)
+      in
+      let ctr o k = List.assoc k o.o_ctr in
+      if powered.o_exn <> None || powered.o_outcome <> "finished"
+         || plain.o_outcome <> "finished"
+      then true (* no finished run to compare against *)
+      else if powered.o_r0 <> plain.o_r0 then
+        QCheck.Test.fail_reportf "%s: r0 %Ld after restores, %Ld unpowered"
+          what powered.o_r0 plain.o_r0
+      else if
+        not
+          (Bs_interp.Memimage.snapshot_equal (Option.get powered.o_mem)
+             (Option.get plain.o_mem))
+      then QCheck.Test.fail_reportf "%s: final memory image differs" what
+      else if
+        ctr powered "instrs" - ctr powered "reexec_instrs" <> ctr plain "instrs"
+      then
+        QCheck.Test.fail_reportf
+          "%s: %d instrs - %d re-executed <> %d unpowered" what
+          (ctr powered "instrs")
+          (ctr powered "reexec_instrs")
+          (ctr plain "instrs")
+      else true
 
-let prop_engines_agree_power =
-  QCheck.Test.make ~name:"engines are byte-identical under power traces"
-    ~count:40
+let prop_power_rollback =
+  QCheck.Test.make ~name:"power rollback is exact" ~count:40
     QCheck.(int_bound 1_000_000)
     check_power_seed
 
-(* --- corpus reproducers are engine-invariant ---------------------------- *)
+(* --- corpus reproducers are fusion-invariant ------------------------------ *)
 
-(* Every reproducer in test/corpus/ gets the full oracle treatment under
-   each engine; the rendered verdict (bucket, details, values) must not
-   depend on the engine.  This differences the engines through the whole
-   compile-and-compare pipeline, power reproducers included. *)
+(* Every reproducer in test/corpus/ is compiled under each of the
+   oracle's build configurations (with its planted fault, if any) and run
+   on its recorded input fused and unfused: the two runs must agree on
+   everything observable. *)
 let test_corpus_engine_invariant () =
   let files = Bs_fuzz.Corpus.list_dir "corpus" in
   Alcotest.(check bool) "corpus is not empty" true (files <> []);
-  let engines =
-    [ ("classic", Bs_sim.Machine.Classic);
-      ("threaded", Bs_sim.Machine.Threaded);
-      ("jit", Bs_sim.Machine.Jit) ]
-  in
   List.iter
     (fun path ->
       match Bs_fuzz.Corpus.load path with
       | None, _ -> Alcotest.failf "%s: no metadata header" path
       | Some m, source ->
-          let describe engine =
-            let train =
-              [ (m.Bs_fuzz.Corpus.entry, m.Bs_fuzz.Corpus.train) ]
-            in
-            match m.Bs_fuzz.Corpus.power with
-            | Some p ->
-                Bs_fuzz.Oracle.describe_power
-                  (Bs_fuzz.Oracle.run_power ~train ~engine ~source
-                     ~entry:m.Bs_fuzz.Corpus.entry ~args:m.Bs_fuzz.Corpus.args
-                     ~power:p ())
-            | None ->
-                Bs_fuzz.Oracle.describe
-                  (Bs_fuzz.Oracle.run ?plant:m.Bs_fuzz.Corpus.fault ~train
-                     ~engine ~source ~entry:m.Bs_fuzz.Corpus.entry
-                     ~args:m.Bs_fuzz.Corpus.args ())
-          in
-          let expected = describe Bs_sim.Machine.Classic in
+          let entry = m.Bs_fuzz.Corpus.entry and args = m.Bs_fuzz.Corpus.args in
           List.iter
-            (fun (name, engine) ->
-              Alcotest.(check string)
-                (Printf.sprintf "%s under %s" (Filename.basename path) name)
-                expected (describe engine))
-            (List.tl engines))
+            (fun (e : Bs_fuzz.Oracle.engine) ->
+              match
+                Driver.try_compile ?pass_fault:m.Bs_fuzz.Corpus.fault
+                  ~config:e.Bs_fuzz.Oracle.config ~source
+                  ~train:[ (entry, m.Bs_fuzz.Corpus.train) ] ()
+              with
+              | Error _ -> ()
+              | Ok c ->
+                  let what =
+                    Printf.sprintf "%s under %s" (Filename.basename path)
+                      e.Bs_fuzz.Oracle.ename
+                  in
+                  let reference = observe ~fuse:false c ~entry ~args in
+                  Alcotest.(check (option string))
+                    what None
+                    (first_diff reference (observe ~fuse:true c ~entry ~args)))
+            Bs_fuzz.Oracle.engines)
     files
 
 (* --- simulated_mips ------------------------------------------------------ *)
@@ -361,7 +365,7 @@ let suite =
   [ Alcotest.test_case "pinned engine-equivalence seeds" `Quick
       test_pinned_seeds;
     QCheck_alcotest.to_alcotest prop_engines_agree;
-    QCheck_alcotest.to_alcotest prop_engines_agree_power;
+    QCheck_alcotest.to_alcotest prop_power_rollback;
     Alcotest.test_case "corpus verdicts are engine-invariant" `Quick
       test_corpus_engine_invariant;
     Alcotest.test_case "simulated_mips is reported" `Quick

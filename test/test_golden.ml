@@ -5,17 +5,18 @@ open Bs_workloads
 
    Every kernel's test input, under the baseline and the bitspec build,
    must reproduce the committed activity counters, misspeculation
-   attribution and I$/D$/L2 hit/miss counts exactly.  The equivalence
-   properties only difference two execution paths against each other; this
-   file pins what both must agree ON, so a change that moves every path in
-   step (a counter bumped twice, a stall charged to the wrong kind) still
-   fails here.
+   attribution and I$/D$/L2 hit/miss counts exactly — fused (the default
+   run, shared with the other workload tests) and unfused.  The
+   equivalence properties only difference the two paths against each
+   other; this file pins what both must agree ON, so a change that moves
+   both in step (a counter bumped twice, a stall charged to the wrong
+   kind) still fails here.
 
    The file is [golden_counters.txt], one line per value:
-   [<kernel> <build> <key> <value...>].  It was produced by a plain
-   fetch-decode-execute loop over the same machine model; regenerating it
-   changes the model's reported numbers and needs a reason in
-   CHANGES.md. *)
+   [<kernel> <build> <key> <value...>].  It was produced by an
+   independent fetch-decode-execute loop over the same machine model,
+   since removed; regenerating it changes the model's reported numbers
+   and needs a reason in CHANGES.md. *)
 
 let golden_file = "golden_counters.txt"
 
@@ -85,10 +86,25 @@ let check_kernel (w : Workload.t) () =
       let expected = Lazy.force golden_rows (kernel, build) in
       if expected = [] then
         Alcotest.failf "%s: no golden rows for %s %s" golden_file kernel build;
-      let _, r = Experiment.run_test config w in
-      check_rows
-        ~what:(Printf.sprintf "%s %s" kernel build)
-        expected (render ~kernel ~build r))
+      let c, fused = Experiment.run_test config w in
+      let unfused =
+        let mem = Bs_interp.Memimage.create c.Driver.ir in
+        w.Workload.test.Workload.setup c.Driver.ir mem;
+        let mode =
+          if config.Driver.arch = Driver.Bitspec_arch then Bs_isa.Isa.Bitspec
+          else Bs_isa.Isa.Classic
+        in
+        Bs_sim.Machine.run
+          ~config:{ Bs_sim.Machine.default_config with mode; fuse = false }
+          c.Driver.program mem ~entry:w.Workload.entry
+          ~args:w.Workload.test.Workload.args
+      in
+      List.iter
+        (fun (path, r) ->
+          check_rows
+            ~what:(Printf.sprintf "%s %s (%s)" kernel build path)
+            expected (render ~kernel ~build r))
+        [ ("fused", fused); ("unfused", unfused) ])
     builds
 
 let suite =

@@ -120,8 +120,8 @@ let test_classic_mode_traps () =
   (* running a squeezed binary with the slice extension disabled traps *)
   match
     Bs_sim.Machine.run
-      ~config:{ Bs_sim.Machine.mode = Isa.Classic; fuel = 10_000_000;
-                fault = None; power = None; engine = Bs_sim.Machine.Jit }
+      ~config:{ Bs_sim.Machine.default_config with
+                mode = Isa.Classic; fuel = 10_000_000 }
       c.Bitspec.Driver.program
       (Bs_interp.Memimage.create c.Bitspec.Driver.ir)
       ~entry:w.Bs_workloads.Workload.entry ~args:[ 10L ]
